@@ -386,8 +386,14 @@ def _dispatch_record(kind, rec: dict) -> dict:
             tol = _record_field(rec, "tol", 1e-8)
             if not isinstance(tol, (int, float)) or isinstance(tol, bool):
                 raise DomainError(f"batch field 'tol' must be a number, got {tol!r}")
+            try:
+                tol = float(tol)
+            except OverflowError:
+                raise DomainError(
+                    f"batch field 'tol' of {tol.bit_length()} bits is outside the float range"
+                ) from None
             return compute_verify_lemma42(
-                _record_int(rec, "w0"), _record_int(rec, "w1"), float(tol), _eval_budget()
+                _record_int(rec, "w0"), _record_int(rec, "w1"), tol, _eval_budget()
             )
         if check == "winding":
             samples = _record_int(rec, "samples", None) if "samples" in rec else None

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
-from ._kernels import unwrapped_winding_phase
 from .errors import ConvergenceError, DomainError, UncoveredCaseError
 
 RationalLike = Union[Fraction, int]
@@ -119,6 +118,37 @@ class WindingResult:
     samples: int
 
 
+def unwrapped_winding_phase(rates, samples: int) -> float:
+    """Total unwrapped phase of t -> prod_j exp(2*pi*i*r_j*t) over [0, 1].
+
+    Samples the product at samples+1 uniform points, takes the principal
+    phase of each complex value, and accumulates the wrapped increments.
+    The caller guarantees the sampling is dense enough that the true step
+    between consecutive samples stays below pi.
+    """
+    two_pi = 2.0 * math.pi
+    total = 0.0
+    prev = 0.0
+    for k in range(1, samples + 1):
+        t = k / samples
+        re = 1.0
+        im = 0.0
+        for r in rates:
+            ang = two_pi * r * t
+            c = math.cos(ang)
+            s = math.sin(ang)
+            re, im = re * c - im * s, re * s + im * c
+        phase = math.atan2(im, re)
+        d = phase - prev
+        if d > math.pi:
+            d -= two_pi
+        elif d <= -math.pi:
+            d += two_pi
+        total += d
+        prev = phase
+    return total
+
+
 def det_winding(integer_rates: Iterable[int], samples: int | None = None) -> WindingResult:
     """Winding number of the determinant loop t -> prod_j exp(2*pi*i*r_j*t)
     on [0, 1], extracted by sampling and phase unwrapping.
@@ -126,6 +156,7 @@ def det_winding(integer_rates: Iterable[int], samples: int | None = None) -> Win
     `samples` defaults to the minimum 4*sum(|r_j|) + 16, which keeps the true
     phase step between samples below pi and makes the unwrap exact up to
     rounding. The pre-rounding residual is reported alongside the integer.
+    A rate too large to convert to float raises DomainError.
     """
     rates = tuple(integer_rates)
     if not rates:
@@ -133,6 +164,12 @@ def det_winding(integer_rates: Iterable[int], samples: int | None = None) -> Win
     for r in rates:
         if not isinstance(r, int) or isinstance(r, bool):
             raise DomainError(f"det_winding rates must be integers, got {r!r}")
+        try:
+            float(r)
+        except OverflowError:
+            raise DomainError(
+                f"det_winding rate of {r.bit_length()} bits is outside the float range"
+            ) from None
     min_samples = 4 * sum(abs(r) for r in rates) + 16
     if samples is None:
         samples = min_samples

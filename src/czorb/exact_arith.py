@@ -1,22 +1,15 @@
-"""Exact integer and rational primitives: factorization, gcd/lcm folds, p-adic
-valuation.
+"""Exact integer primitives: factorization and p-adic valuation.
 
 Everything here runs on Python's native big integers, so there is no overflow
-to guard against. Rational values throughout czorb are `fractions.Fraction`
-(exposed as `Rational`), which keeps gcd(|num|, den) = 1 and den >= 1 by
-construction.
+to guard against. Rational values throughout czorb are `fractions.Fraction`,
+which keeps gcd(|num|, den) = 1 and den >= 1 by construction.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .errors import DomainError
-
-Rational = Fraction
 
 
 @dataclass(frozen=True)
@@ -98,22 +91,3 @@ def ord_p(n: int, p: int) -> int:
         n //= p
     return e
 
-
-def _checked(xs: Iterable[int], op: str) -> Sequence[int]:
-    xs = tuple(xs)
-    if not xs:
-        raise DomainError(f"{op} requires a nonempty list")
-    for x in xs:
-        if x < 1:
-            raise DomainError(f"{op} requires positive integers, got {x}")
-    return xs
-
-
-def gcd_all(xs: Iterable[int]) -> int:
-    """gcd of a nonempty list of positive integers."""
-    return math.gcd(*_checked(xs, "gcd_all"))
-
-
-def lcm_all(xs: Iterable[int]) -> int:
-    """lcm of a nonempty list of positive integers."""
-    return math.lcm(*_checked(xs, "lcm_all"))

@@ -204,6 +204,23 @@ def test_batch_continues_after_errors(capsys, tmp_path):
     assert recs[2]["result"]["index"] == 54
 
 
+def test_batch_refuses_values_outside_the_float_range(capsys, tmp_path):
+    records = [
+        {"id": "rate", "kind": "verify", "check": "winding", "rates": [10**400]},
+        {"id": "w0", "kind": "verify", "check": "lemma42", "w0": 10**400, "w1": 3},
+        {"id": "tol", "kind": "verify", "check": "lemma42", "w0": 2, "w1": 3, "tol": 10**400},
+        {"id": "good", "kind": "verify", "check": "scalar-cz", "T": "7/2"},
+    ]
+    path = tmp_path / "huge.ndjson"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    code, out, _ = run_cli(capsys, "batch", str(path), "--json")
+    assert code == 2
+    recs = [json.loads(line) for line in out.strip().splitlines()]
+    assert [rec["id"] for rec in recs] == ["rate", "w0", "tol", "good"]
+    assert [rec["error"]["type"] for rec in recs[:3]] == ["domain"] * 3
+    assert recs[3]["status"] == "ok"
+
+
 def test_batch_unreadable_file(capsys):
     code, _, err = run_cli(capsys, "batch", "/no/such/file.ndjson")
     assert code == 1

@@ -12,6 +12,7 @@ from czorb.cz_paths import (
     loop_cz_from_maslov,
     scalar_cz,
     scalar_cz_rated,
+    unwrapped_winding_phase,
 )
 from czorb.errors import DomainError, UncoveredCaseError
 
@@ -117,6 +118,8 @@ def test_det_winding_validation():
         det_winding([2, "x"])
     with pytest.raises(DomainError):
         det_winding([4, 4, 5, 14], samples=10)  # below the unwrap-safe minimum
+    with pytest.raises(DomainError):
+        det_winding([10**400])  # outside the float range
 
 
 def test_det_winding_reports_residual_and_samples():
@@ -136,3 +139,8 @@ def test_det_winding_random_vectors():
         result = det_winding(rates)
         assert result.winding == sum(rates)
         assert result.residual < 0.01
+
+
+def test_unwrapped_winding_phase_golden_value():
+    # Exact float equality: any change in the order of the arithmetic fails.
+    assert unwrapped_winding_phase((4, 4, 5, 14), 124) == 169.646003293849

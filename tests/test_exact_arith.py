@@ -1,12 +1,11 @@
 import math
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from czorb.errors import DomainError
-from czorb.exact_arith import Factorization, factorize, gcd_all, is_prime, lcm_all, ord_p
+from czorb.exact_arith import Factorization, factorize, is_prime, ord_p
 
 
 def naive_factor(n: int) -> list[tuple[int, int]]:
@@ -72,49 +71,16 @@ def test_ord_p_rejects_composite_p():
         ord_p(8, 1)
 
 
-def test_gcd_lcm_examples():
-    assert gcd_all([4, 4, 14]) == 2
-    assert gcd_all([5, 5, 5]) == 5
-    assert gcd_all([4, 4, 5, 14]) == 1
-    assert lcm_all([2, 2, 2, 5]) == 10
-    assert lcm_all([1, 1, 1]) == 1
-    assert lcm_all([2, 4, 8]) == 8
-
-
-def test_gcd_lcm_reject_bad_input():
-    for op in (gcd_all, lcm_all):
-        with pytest.raises(DomainError):
-            op([])
-        with pytest.raises(DomainError):
-            op([3, 0, 5])
-
-
-@given(st.integers(1, 10**6), st.integers(1, 10**6))
-@settings(max_examples=200)
-def test_gcd_lcm_pair_identity(a, b):
-    assert gcd_all([a, b]) * lcm_all([a, b]) == a * b
-
-
 @given(st.lists(st.integers(1, 5000), min_size=1, max_size=8))
 @settings(max_examples=200, deadline=None)
 def test_lcm_takes_max_valuation(xs):
-    l = lcm_all(xs)
+    l = math.lcm(*xs)
     seen = set()
     for x in xs:
         for p, _ in factorize(x).pairs:
             seen.add(p)
     for p in seen:
         assert ord_p(l, p) == max(ord_p(x, p) for x in xs)
-    assert gcd_all(xs) == math.gcd(*xs)
-
-
-@given(st.integers(-10**6, 10**6), st.integers(1, 10**6))
-@settings(max_examples=200)
-def test_rational_normalization_idempotent(num, den):
-    x = Fraction(num, den)
-    assert math.gcd(abs(x.numerator), x.denominator) == 1
-    assert x.denominator >= 1
-    assert Fraction(x.numerator, x.denominator) == x
 
 
 def test_factorization_is_frozen():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from czorb.errors import ConvergenceError, DomainError
-from czorb.numeric_verify import area_chain, chart_integral
+from czorb.numeric_verify import area_chain, chart_integral, chart_radial
 from czorb.weights import make_weight_vector, symplectic_area
 
 
@@ -36,6 +36,8 @@ def test_chart_integral_validation():
         chart_integral(2, 3, 1e-3)  # tol capped at 1e-4
     with pytest.raises(DomainError):
         chart_integral(2, 3, 1e-8, eval_budget=4)
+    with pytest.raises(DomainError):
+        chart_integral(10**400, 3, 1e-8)  # outside the float range
 
 
 def test_chart_integral_budget_exhaustion():
@@ -43,6 +45,18 @@ def test_chart_integral_budget_exhaustion():
         chart_integral(29, 17, 1e-8, eval_budget=21)
     assert excinfo.value.achieved_error is not None
     assert excinfo.value.achieved_error > 0
+
+
+def test_chart_radial_values_are_sane():
+    value, err, evals, converged = chart_radial(2, 3, 5e-9, 10**6)
+    assert converged
+    assert abs(value - 0.25) <= 1e-8
+    assert evals >= 5
+
+
+def test_chart_radial_golden_value():
+    # Exact float equality: any change in the order of the arithmetic fails.
+    assert chart_radial(2, 3, 5e-9, 10**6) == (0.24999999998373737, 1.5091277055341694e-09, 201, True)
 
 
 def test_area_chain_examples():
