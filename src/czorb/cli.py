@@ -420,28 +420,33 @@ def _run_batch(args) -> int:
             kind = None
             try:
                 rec = json.loads(line)
-                if not isinstance(rec, dict):
-                    raise DomainError(f"line {lineno}: record must be a JSON object")
-                rec_id = rec.get("id")
-                kind = rec.get("kind")
-                result = _dispatch_record(kind, rec)
-                out = {"id": rec_id, "kind": kind, "status": "ok", "result": result}
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:
+                # JSONDecodeError, or the int-string digit limit, which json
+                # raises as a plain ValueError.
+                msg = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
                 out = {
                     "id": rec_id,
                     "kind": kind,
                     "status": "error",
-                    "error": {"type": "malformed", "message": f"line {lineno}: {exc.msg}"},
+                    "error": {"type": "malformed", "message": f"line {lineno}: {msg}"},
                 }
                 worst = max(worst, 2)
-            except CzorbError as exc:
-                out = {
-                    "id": rec_id,
-                    "kind": kind,
-                    "status": "error",
-                    "error": _error_payload(exc),
-                }
-                worst = max(worst, exc.exit_code)
+            else:
+                try:
+                    if not isinstance(rec, dict):
+                        raise DomainError(f"line {lineno}: record must be a JSON object")
+                    rec_id = rec.get("id")
+                    kind = rec.get("kind")
+                    result = _dispatch_record(kind, rec)
+                    out = {"id": rec_id, "kind": kind, "status": "ok", "result": result}
+                except CzorbError as exc:
+                    out = {
+                        "id": rec_id,
+                        "kind": kind,
+                        "status": "error",
+                        "error": _error_payload(exc),
+                    }
+                    worst = max(worst, exc.exit_code)
             if args.json:
                 print(dumps(out))
             else:

@@ -68,8 +68,8 @@ def scalar_cz(T: RationalLike) -> int:
     """Index of the unit-rate scalar path on [0, T]."""
     T = _positive_duration(T, "scalar_cz")
     if T.denominator == 1 and T.numerator % 2 == 0:
-        return int(T)
-    return 2 * math.floor(T / 2) + 1
+        return T.numerator
+    return 2 * (T.numerator // (2 * T.denominator)) + 1
 
 
 def scalar_cz_rated(p: ScalarPath) -> int:
@@ -97,17 +97,21 @@ def crossing_oracle_scalar(T: RationalLike) -> int:
 
     The unit-rate path meets 1 exactly at even integer times. Each endpoint
     crossing contributes half of a +2 signature, each interior crossing the
-    full +2. Exact rational arithmetic, independent of the closed form.
+    full +2. Exact integer arithmetic, still an enumeration of crossings:
+    with T = num/den, the crossing at time 2k is visited as 2*k*den <= num,
+    so the count stays independent of the closed form.
     """
     T = _positive_duration(T, "crossing_oracle_scalar")
+    num, den = T.numerator, T.denominator
+    step = 2 * den
     index = 0
-    t = Fraction(0)
-    while t <= T:
-        if t == 0 or t == T:
+    t = 0  # 2*k*den for the k-th crossing
+    while t <= num:
+        if t == 0 or t == num:
             index += 1
         else:
             index += 2
-        t += 2
+        t += step
     return index
 
 

@@ -76,6 +76,8 @@ def compute_l2(a: Iterable[int]) -> int:
     valuation among the entries; multiply the resulting prime powers.
 
     Ties at the maximum count twice, so a constant vector gives l2 = lcm(a).
+    Only the entries that p divides are asked for their valuation; every
+    other entry has valuation 0, which never raises the second-largest.
     """
     a = tuple(a)
     if not a:
@@ -86,7 +88,7 @@ def compute_l2(a: Iterable[int]) -> int:
     l = math.lcm(*a)
     l2 = 1
     for p, _ in factorize(l).pairs:
-        ords = sorted((ord_p(x, p) for x in a), reverse=True)
+        ords = sorted((ord_p(x, p) for x in a if x % p == 0), reverse=True)
         second = ords[1] if len(ords) > 1 else 0
         l2 *= p**second
     return l2

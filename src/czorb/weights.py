@@ -77,16 +77,34 @@ def make_weight_vector(raw: Iterable[int]) -> WeightVector:
     return WeightVector(w)
 
 
-def _omit_fold(values: tuple[int, ...], j: int, fold) -> int:
-    rest = values[:j] + values[j + 1 :]
-    return fold(*rest)
+def _omit_one_folds(values: tuple[int, ...], fold, unit: int) -> tuple[int, ...]:
+    """For every j, the fold of all entries except values[j].
+
+    A prefix scan and a suffix scan give out[j] = fold(prefix[j], suffix[j+1])
+    in O(n) fold calls. `unit` is the fold's identity (0 for gcd, 1 for lcm),
+    so a length-2 input gives each entry the other one.
+    """
+    n = len(values)
+    suffix = [unit] * (n + 1)
+    for j in range(n - 1, -1, -1):
+        suffix[j] = fold(values[j], suffix[j + 1])
+    out = []
+    prefix = unit
+    for j in range(n):
+        out.append(fold(prefix, suffix[j + 1]))
+        prefix = fold(prefix, values[j])
+    return tuple(out)
 
 
 def invariants(wv: WeightVector) -> WeightInvariants:
-    """Compute all derived invariants of a weight vector in one pass."""
+    """Compute all derived invariants of a weight vector.
+
+    The omit-one folds d and e each take O(n) gcd/lcm calls, from one prefix
+    and one suffix scan.
+    """
     w = wv.w
-    d = tuple(_omit_fold(w, j, math.gcd) for j in range(len(w)))
-    e = tuple(_omit_fold(d, j, math.lcm) for j in range(len(d)))
+    d = _omit_one_folds(w, math.gcd, 0)
+    e = _omit_one_folds(d, math.lcm, 1)
     a_w = math.lcm(*d)
 
     reduced_entries = []

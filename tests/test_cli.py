@@ -221,6 +221,24 @@ def test_batch_refuses_values_outside_the_float_range(capsys, tmp_path):
     assert recs[3]["status"] == "ok"
 
 
+def test_batch_line_over_the_int_digit_limit_is_malformed(capsys, tmp_path):
+    # json.loads raises a plain ValueError, not a JSONDecodeError, for an
+    # integer of more than 4300 digits; the record after it must still run.
+    huge = '{"id":"huge","kind":"verify","check":"winding","rates":[' + "1" * 5000 + "]}"
+    good = '{"id":"good","kind":"teardrop","m":3}'
+    path = tmp_path / "digits.ndjson"
+    path.write_text(huge + "\n" + good + "\n")
+    code, out, _ = run_cli(capsys, "batch", str(path), "--json")
+    assert code == 2
+    recs = [json.loads(line) for line in out.strip().splitlines()]
+    assert len(recs) == 2
+    assert recs[0]["status"] == "error"
+    assert recs[0]["error"]["type"] == "malformed"
+    assert recs[0]["error"]["message"].startswith("line 1: ")
+    assert recs[1]["id"] == "good"
+    assert recs[1]["status"] == "ok"
+
+
 def test_batch_unreadable_file(capsys):
     code, _, err = run_cli(capsys, "batch", "/no/such/file.ndjson")
     assert code == 1

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from czorb.cz_paths import (
     DiagonalPath,
@@ -78,6 +80,35 @@ def test_crossing_oracle_agrees_with_closed_form():
     for _ in range(1000):
         T = Fraction(rng.randint(1, 400), rng.randint(1, 40))
         assert crossing_oracle_scalar(T) == scalar_cz(T), f"disagreement at T={T}"
+
+
+def fraction_crossing_count(T: Fraction) -> int:
+    """The crossing enumeration in Fraction arithmetic: each even time in
+    [0, T] adds 1 at an endpoint and 2 in the interior."""
+    index = 0
+    t = Fraction(0)
+    while t <= T:
+        index += 1 if t == 0 or t == T else 2
+        t += 2
+    return index
+
+
+@given(st.integers(1, 4000), st.integers(1, 50))
+@settings(max_examples=500)
+def test_crossing_oracle_matches_fraction_enumeration(num, den):
+    T = Fraction(num, den)
+    assert crossing_oracle_scalar(T) == fraction_crossing_count(T)
+
+
+@pytest.mark.parametrize(
+    "T",
+    [Fraction(1, 3), Fraction(1), Fraction(3, 2), Fraction(199, 100)]  # T < 2
+    + [Fraction(2), Fraction(4), Fraction(100)]  # even integers
+    + [Fraction(3), Fraction(5), Fraction(101)]  # odd integers
+    + [2 * k + Fraction(s, den) for k in (1, 2, 37) for den in (2, 7, 1000) for s in (-1, 1)],
+)
+def test_crossing_oracle_edge_cases(T):
+    assert crossing_oracle_scalar(T) == fraction_crossing_count(T) == scalar_cz(T)
 
 
 def test_parity():

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from czorb.errors import DomainError
 from czorb.spaces import (
@@ -19,6 +21,13 @@ def test_compute_l2_examples():
     assert compute_l2([4, 4, 4]) == 4
     assert compute_l2([2, 3, 5, 7]) == 1
     assert compute_l2([2, 4, 8]) == 4
+    assert compute_l2([12, 12, 5]) == 12  # tied maximum at 2 and 3
+    assert compute_l2([8, 8, 8, 3]) == 8  # tied maximum; 3 divides one entry
+    assert compute_l2([2, 3, 5, 49]) == 1  # each prime divides one entry
+    assert compute_l2([4, 6, 9, 10]) == 6  # 5 divides one entry
+    assert compute_l2([7]) == 1
+    for c in (2, 360, 2 * 3 * 5 * 7 * 11):  # constant vectors: l2 = lcm
+        assert compute_l2([c] * 3) == c
 
 
 def test_compute_l2_rejects_bad_input():
@@ -26,6 +35,46 @@ def test_compute_l2_rejects_bad_input():
         compute_l2([])
     with pytest.raises(DomainError):
         compute_l2([1, 2, 3])
+
+
+def brute_force_l2(a) -> int:
+    """Second-largest p-adic valuation per prime of lcm(a), by trial and
+    repeated division, with no helper from czorb."""
+    primes = set()
+    for x in a:
+        p = 2
+        while p * p <= x:
+            while x % p == 0:
+                primes.add(p)
+                x //= p
+            p += 1
+        if x > 1:
+            primes.add(x)
+    l2 = 1
+    for p in primes:
+        vals = []
+        for x in a:
+            v = 0
+            while x % p == 0:
+                x //= p
+                v += 1
+            vals.append(v)
+        vals.sort(reverse=True)
+        if len(vals) > 1:
+            l2 *= p ** vals[1]
+    return l2
+
+
+_prime_powers = st.lists(
+    st.tuples(st.sampled_from([2, 3, 5, 7, 11]), st.integers(0, 3)), min_size=1, max_size=3
+).map(lambda pes: math.prod(p**e for p, e in pes))
+l2_vectors = st.lists(_prime_powers.filter(lambda x: x >= 2), min_size=1, max_size=8)
+
+
+@given(l2_vectors)
+@settings(max_examples=300)
+def test_compute_l2_matches_brute_force_valuations(a):
+    assert compute_l2(a) == brute_force_l2(a)
 
 
 def test_make_brieskorn_exponents():

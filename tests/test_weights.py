@@ -20,6 +20,22 @@ weight_vectors = st.lists(st.integers(1, 200), min_size=2, max_size=8).map(
 )
 
 
+@st.composite
+def clustered_weight_vectors(draw):
+    """Lengths 2-40; each drawn prime multiplies every entry but one, so
+    the omitted entry's d_j picks up that prime."""
+    xs = draw(st.lists(st.integers(1, 60), min_size=2, max_size=40))
+    for p in draw(st.lists(st.sampled_from([2, 3, 5, 7, 11, 13]), max_size=3)):
+        skip = draw(st.integers(0, len(xs) - 1))
+        xs = [x if j == skip else p * x for j, x in enumerate(xs)]
+    g = math.gcd(*xs)
+    return make_weight_vector([x // g for x in xs])
+
+
+def _omit(values, j):
+    return values[:j] + values[j + 1 :]
+
+
 def test_make_weight_vector_examples():
     assert make_weight_vector([4, 4, 5, 14]).w == (4, 4, 5, 14)
     assert make_weight_vector([1, 7]).w == (1, 7)
@@ -125,3 +141,17 @@ def test_well_formed_characterizations_agree(wv):
 @settings(max_examples=300)
 def test_area_times_degree_is_minus_one(wv):
     assert symplectic_area(wv) * fw_degree(wv) == -1
+
+
+@given(clustered_weight_vectors())
+@settings(max_examples=300)
+def test_invariants_match_the_omit_one_definition(wv):
+    w = wv.w
+    d = tuple(math.gcd(*_omit(w, j)) for j in range(len(w)))
+    e = tuple(math.lcm(*_omit(d, j)) for j in range(len(d)))
+    inv = invariants(wv)
+    assert inv.d == d
+    assert inv.e == e
+    assert inv.a_w == math.lcm(*d)
+    assert inv.reduced.w == tuple(wj // ej for wj, ej in zip(w, e))
+    assert inv.well_formed == all(dj == 1 for dj in d)
