@@ -1,15 +1,24 @@
-"""Command-line surface.
+"""Command-line surface, NDJSON batch runner and library entry point.
 
-Subcommands mirror the library operations one for one:
+Every subcommand is also a batch record kind with the same fields:
 
-    czorb weights 4,4,5,14
-    czorb cz principal --brieskorn 2,2,2,5
-    czorb cz orbit --wps 4,4,5,14 --support 0,1
-    czorb teardrop 3 --degree 5
-    czorb verify lemma42 --w0 2 --w1 3
-    czorb verify winding --rates 4,4,5,14
-    czorb verify scalar-cz --T 7/2
-    czorb batch records.ndjson --json
+    command                   kind             fields
+    weights                   weights          weights
+    cz principal --wps        wps              weights
+    cz principal --wci        wci              weights, degrees
+    cz principal --brieskorn  brieskorn        exponents
+    cz orbit --wps            orbit-wps        weights, support, allow_extrapolation
+    cz orbit --brieskorn      orbit-brieskorn  exponents, support, allow_extrapolation
+    teardrop                  teardrop         m, degree
+    verify lemma42            verify           check, w0, w1, tol
+    verify winding            verify           check, rates, samples
+    verify scalar-cz          verify           check, T
+
+On argv a field is spelled `--` and its name with `-` for `_`
+(allow_extrapolation is --allow-extrapolation), except the options named
+above and the positional weights and m: `czorb verify scalar-cz --T 7/2` is
+{"kind": "verify", "check": "scalar-cz", "T": "7/2"}. `czorb batch FILE`
+runs one record per line, and czorb.cli.run(record) one record in Python.
 
 Exit codes: 0 success, 1 usage, 2 domain/validation, 3 uncovered case,
 4 numeric convergence. Rationals are written p/q on input and serialized as
@@ -24,6 +33,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .cz_indices import (
     BRANCH_FORMULAS,
@@ -84,7 +94,7 @@ def _error_payload(exc: CzorbError) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# argv parsing helpers
+# field types: how a value is read from argv and checked in a record
 
 def _csv_ints(text: str) -> list[int]:
     try:
@@ -100,19 +110,93 @@ def _rational_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"expected a rational p/q or an integer, got {text!r}")
 
 
-class _Parser(argparse.ArgumentParser):
-    """ArgumentParser with usage failures mapped to exit code 1."""
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+
+def _check_int(name: str, value) -> int:
+    if not _is_int(value):
+        raise DomainError(f"batch field {name!r} must be an integer, got {value!r}")
+    return value
+
+
+def _check_int_list(name: str, value) -> list[int]:
+    if not isinstance(value, list) or not all(map(_is_int, value)):
+        raise DomainError(f"batch field {name!r} must be a list of integers, got {value!r}")
+    return value
+
+
+def _check_bool(name: str, value) -> bool:
+    if not isinstance(value, bool):
+        raise DomainError(f"batch field {name!r} must be a boolean, got {value!r}")
+    return value
+
+
+def _check_rational(name: str, value) -> Fraction:
+    if isinstance(value, dict):
+        parts = (value.get("num"), value.get("den"))
+        usable = all(map(_is_int, parts))
+    else:
+        parts = (value,)
+        usable = isinstance(value, (str, Fraction)) or _is_int(value)
+    if usable:
+        try:
+            return Fraction(*parts)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise DomainError(f"batch field {name!r} must be a rational ('p/q', integer, or num/den), got {value!r}")
+
+
+def _check_number(name: str, value) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise DomainError(f"batch field {name!r} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise DomainError(f"batch field {name!r} of {value.bit_length()} bits is outside the float range") from None
+
+
+class FieldType(NamedTuple):
+    add_argument: dict  # its keyword arguments to ArgumentParser.add_argument
+    check: Callable  # (field name, record value) -> value, or DomainError
+
+
+INTS = FieldType({"type": _csv_ints}, _check_int_list)
+INT = FieldType({"type": int}, _check_int)
+FLAG = FieldType({"action": "store_true"}, _check_bool)
+RATIONAL = FieldType({"type": _rational_arg}, _check_rational)
+NUMBER = FieldType({"type": float}, _check_number)
+
+REQUIRED = object()
+
+
+class Field(NamedTuple):
+    name: str
+    type: FieldType
+    default: object = REQUIRED
+    argv: str = ""  # argv spelling when it is not `--` and the name with `-` for `_`
+    help: str | None = None
+
+    @property
+    def spelling(self) -> str:
+        return self.argv or "--" + self.name.replace("_", "-")
 
 
 # ---------------------------------------------------------------------------
-# computations shared by argv handlers and batch records
+# computations: one per operation, called with the fields by name
 
-def compute_weights(raw: list[int]) -> dict:
-    wv = make_weight_vector(raw)
+def _eval_budget() -> int:
+    raw = os.environ.get("CZORB_EVAL_BUDGET")
+    if raw is None:
+        return DEFAULT_EVAL_BUDGET
+    try:
+        return int(raw)
+    except ValueError:
+        raise DomainError(f"CZORB_EVAL_BUDGET must be an integer, got {raw!r}")
+
+
+def compute_weights(weights: list[int]) -> dict:
+    wv = make_weight_vector(weights)
     inv = invariants(wv)
     return {
         "weights": list(wv.w),
@@ -138,14 +222,14 @@ def _report_payload(report: CZReport) -> dict:
     }
 
 
-def compute_principal_wps(raw: list[int]) -> dict:
-    report = mu_principal(WPSpace(make_weight_vector(raw)))
-    return {"weights": list(raw), **_report_payload(report)}
+def compute_principal_wps(weights: list[int]) -> dict:
+    report = mu_principal(WPSpace(make_weight_vector(weights)))
+    return {"weights": list(weights), **_report_payload(report)}
 
 
-def compute_principal_wci(raw: list[int], degrees: list[int]) -> dict:
-    report = mu_principal(make_wci_space(raw, degrees))
-    return {"weights": list(raw), "degrees": list(degrees), **_report_payload(report)}
+def compute_principal_wci(weights: list[int], degrees: list[int]) -> dict:
+    report = mu_principal(make_wci_space(weights, degrees))
+    return {"weights": list(weights), "degrees": list(degrees), **_report_payload(report)}
 
 
 def compute_principal_brieskorn(exponents: list[int]) -> dict:
@@ -153,9 +237,9 @@ def compute_principal_brieskorn(exponents: list[int]) -> dict:
     return {"exponents": list(exponents), **_report_payload(report)}
 
 
-def compute_orbit_wps(raw: list[int], support: list[int], allow_extrapolation: bool) -> dict:
-    report = mu_orbit_wps(raw, support, allow_extrapolation)
-    return {"weights": list(raw), "support": sorted(set(support)), **_report_payload(report)}
+def compute_orbit_wps(weights: list[int], support: list[int], allow_extrapolation: bool) -> dict:
+    report = mu_orbit_wps(weights, support, allow_extrapolation)
+    return {"weights": list(weights), "support": sorted(set(support)), **_report_payload(report)}
 
 
 def compute_orbit_brieskorn(exponents: list[int], support: list[int], allow_extrapolation: bool) -> dict:
@@ -186,8 +270,8 @@ def compute_teardrop(m: int, degree: int | None) -> dict:
     return payload
 
 
-def compute_verify_lemma42(w0: int, w1: int, tol: float, eval_budget: int) -> dict:
-    result = chart_integral(w0, w1, tol, eval_budget)
+def compute_verify_lemma42(w0: int, w1: int, tol: float) -> dict:
+    result = chart_integral(w0, w1, tol, _eval_budget())
     expected = Fraction(-1, w0)
     return {
         "check": "lemma42",
@@ -235,54 +319,35 @@ def _kv_lines(pairs) -> list[str]:
     return [f"{key.ljust(width)}  {value}" for key, value in pairs]
 
 
+def _text(value):
+    """A payload value as the human renderers print it."""
+    if isinstance(value, dict):
+        return _rational_str(Fraction(value["num"], value["den"]))
+    if isinstance(value, list):
+        return ",".join(map(str, value))
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    return value
+
+
 def _render_weights(payload: dict) -> list[str]:
-    area = payload["symplectic_area"]
-    return _kv_lines(
-        [
-            ("weights", ",".join(map(str, payload["weights"]))),
-            ("sum", payload["sum"]),
-            ("product", payload["product"]),
-            ("d", ",".join(map(str, payload["d"]))),
-            ("e", ",".join(map(str, payload["e"]))),
-            ("a_w", payload["a_w"]),
-            ("reduced", ",".join(map(str, payload["reduced"]))),
-            ("well-formed", "yes" if payload["well_formed"] else "no"),
-            ("symplectic-area", _rational_str(Fraction(area["num"], area["den"]))),
-        ]
-    )
+    keys = ("weights", "sum", "product", "d", "e", "a_w", "reduced", "well_formed", "symplectic_area")
+    labels = {"well_formed": "well-formed", "symplectic_area": "symplectic-area"}
+    return _kv_lines([(labels.get(key, key), _text(payload[key])) for key in keys])
 
 
 def _render_cz(payload: dict) -> list[str]:
-    pairs = []
-    if "weights" in payload:
-        pairs.append(("weights", ",".join(map(str, payload["weights"]))))
-    if "degrees" in payload:
-        pairs.append(("degrees", ",".join(map(str, payload["degrees"]))))
-    if "exponents" in payload:
-        pairs.append(("exponents", ",".join(map(str, payload["exponents"]))))
-    if "support" in payload:
-        pairs.append(("support", ",".join(map(str, payload["support"]))))
-    pairs.append(("index", payload["index"]))
-    pairs.append(("branch", payload["branch"]))
-    pairs.append(("extrapolated", "yes" if payload["extrapolated"] else "no"))
+    keys = ("weights", "degrees", "exponents", "support", "index", "branch", "extrapolated")
+    pairs = [(key, _text(payload[key])) for key in keys if key in payload]
     if payload["b_constant"] is not None:
         pairs.append(("b", payload["b_constant"]))
     pairs.append(("formula", payload["formula"]))
-    for note in payload["notes"]:
-        pairs.append(("note", note))
+    pairs += [("note", note) for note in payload["notes"]]
     return _kv_lines(pairs)
 
 
 def _render_teardrop(payload: dict) -> list[str]:
-    chern = payload["chern"]
-    p_star = payload["p_star"]
-    lines = _kv_lines(
-        [
-            ("m", payload["m"]),
-            ("chern", _rational_str(Fraction(chern["num"], chern["den"]))),
-            ("p_star", _rational_str(Fraction(p_star["num"], p_star["den"]))),
-        ]
-    )
+    lines = _kv_lines([(key, _text(payload[key])) for key in ("m", "chern", "p_star")])
     if "table" in payload:
         lines.append("q   homology  cohomology")
         for row in payload["table"]:
@@ -294,114 +359,134 @@ def _render_teardrop(payload: dict) -> list[str]:
 
 
 def _render_verify(payload: dict) -> list[str]:
-    pairs = []
-    for key in sorted(payload):
-        value = payload[key]
-        if isinstance(value, dict):
-            value = _rational_str(Fraction(value["num"], value["den"]))
-        elif isinstance(value, list):
-            value = ",".join(map(str, value))
-        elif isinstance(value, bool):
-            value = "yes" if value else "no"
-        pairs.append((key, value))
-    return _kv_lines(pairs)
+    return _kv_lines([(key, _text(payload[key])) for key in sorted(payload)])
+
+
+# ---------------------------------------------------------------------------
+# the operation table
+
+class Operation(NamedTuple):
+    kind: str
+    check: str | None  # the `check` of a verify record
+    command: str  # argv command path
+    compute: Callable[..., dict]
+    render: Callable[[dict], list[str]]
+    fields: tuple[Field, ...]  # checked in this order; argv lists the required ones first
+
+
+_WPS = Field("weights", INTS, argv="--wps", help="weighted projective space weights")
+_WCI = Field("weights", INTS, argv="--wci", help="complete-intersection ambient weights")
+_BRIESKORN = Field("exponents", INTS, argv="--brieskorn", help="Brieskorn exponents")
+_SUPPORT = Field("support", INTS, help="indices of nonzero coordinates")
+_ALLOW = Field(
+    "allow_extrapolation", FLAG, False, help="apply the reduction formula beyond the covered cases (labeled in the output)"
+)
+
+OPERATIONS = (
+    Operation("weights", None, "weights", compute_weights, _render_weights, (
+        Field("weights", INTS, argv="weights", help="comma-separated weights, e.g. 4,4,5,14"),
+    )),
+    Operation("wps", None, "cz principal", compute_principal_wps, _render_cz, (_WPS,)),
+    Operation("wci", None, "cz principal", compute_principal_wci, _render_cz, (
+        _WCI, Field("degrees", INTS, help="complete-intersection multidegree (with --wci)"),
+    )),
+    Operation("brieskorn", None, "cz principal", compute_principal_brieskorn, _render_cz, (_BRIESKORN,)),
+    Operation("orbit-wps", None, "cz orbit", compute_orbit_wps, _render_cz, (_WPS, _SUPPORT, _ALLOW)),
+    Operation("orbit-brieskorn", None, "cz orbit", compute_orbit_brieskorn, _render_cz, (_BRIESKORN, _SUPPORT, _ALLOW)),
+    Operation("teardrop", None, "teardrop", compute_teardrop, _render_teardrop, (
+        Field("degree", INT, None, help="single degree instead of the full table"),
+        Field("m", INT, argv="m", help="cone point order, m >= 2"),
+    )),
+    Operation("verify", "lemma42", "verify lemma42", compute_verify_lemma42, _render_verify, (
+        Field("tol", NUMBER, 1e-8), Field("w0", INT), Field("w1", INT),
+    )),
+    Operation("verify", "winding", "verify winding", compute_verify_winding, _render_verify, (
+        Field("samples", INT, None), Field("rates", INTS),
+    )),
+    Operation("verify", "scalar-cz", "verify scalar-cz", compute_verify_scalar, _render_verify, (
+        Field("T", RATIONAL, help="duration, e.g. 7/2"),
+    )),
+)
+
+# argv commands in help order; a command with no operation groups others.
+COMMAND_HELP = {
+    "weights": "weight-vector invariants",
+    "cz": "Conley-Zehnder indices",
+    "cz principal": "principal-orbit index",
+    "cz orbit": "orbit index for a coordinate support set",
+    "teardrop": "teardrop orbifold (co)homology and Chern number",
+    "verify": "numeric cross-checks",
+    "verify lemma42": "quadrature of the two-weight chart integral",
+    "verify winding": "determinant winding of a diagonal loop",
+    "verify scalar-cz": "closed form vs crossing enumeration",
+    "batch": "run newline-delimited JSON records",
+}
+
+_KINDS = {op.kind: op for op in OPERATIONS if op.check is None}
+_CHECKS = {op.check: op for op in OPERATIONS if op.check is not None}
+
+
+def _missing(name: str) -> DomainError:
+    return DomainError(f"batch record is missing the {name!r} field")
+
+
+def _operation(record: dict) -> Operation:
+    kind = record.get("kind")
+    if kind != "verify":
+        # A kind may be any JSON value, including an unhashable one.
+        op = _KINDS.get(kind) if isinstance(kind, str) else None
+        if op is None:
+            raise DomainError(f"unknown batch record kind {kind!r}")
+        return op
+    if "check" not in record:
+        raise _missing("check")
+    check = record["check"]
+    op = _CHECKS.get(check) if isinstance(check, str) else None
+    if op is None:
+        raise DomainError(f"unknown verify check {check!r}")
+    return op
+
+
+def run(record: dict) -> dict:
+    """Compute one batch record and return its `result` payload.
+
+    `record` is a dict as a batch line holds it, e.g.
+    `{"kind": "orbit-wps", "weights": [4, 4, 5, 14], "support": [0, 1]}`.
+    A refused record raises the CzorbError that batch mode reports.
+    """
+    op = _operation(record)
+    values = {}
+    for field in op.fields:
+        if field.name in record:
+            values[field.name] = field.type.check(field.name, record[field.name])
+        elif field.default is REQUIRED:
+            raise _missing(field.name)
+        else:
+            values[field.name] = field.default
+    return op.compute(**values)
 
 
 # ---------------------------------------------------------------------------
 # batch mode
 
-_MISSING = object()
-
-
-def _record_field(rec: dict, key: str, default=_MISSING):
-    if key in rec:
-        return rec[key]
-    if default is _MISSING:
-        raise DomainError(f"batch record is missing the {key!r} field")
-    return default
-
-
-def _record_int(rec: dict, key: str, default=_MISSING) -> int:
-    value = _record_field(rec, key, default)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise DomainError(f"batch field {key!r} must be an integer, got {value!r}")
-    return value
-
-
-def _record_int_list(rec: dict, key: str) -> list[int]:
-    value = _record_field(rec, key)
-    if not isinstance(value, list) or not all(
-        isinstance(x, int) and not isinstance(x, bool) for x in value
-    ):
-        raise DomainError(f"batch field {key!r} must be a list of integers, got {value!r}")
-    return value
-
-
-def _record_bool(rec: dict, key: str, default: bool) -> bool:
-    value = _record_field(rec, key, default)
-    if not isinstance(value, bool):
-        raise DomainError(f"batch field {key!r} must be a boolean, got {value!r}")
-    return value
-
-
-def _record_rational(rec: dict, key: str) -> Fraction:
-    value = _record_field(rec, key)
+def _run_line(lineno: int, line: str) -> tuple[dict, int]:
+    """The output record of one batch line, and its exit code."""
+    rec_id = kind = None
     try:
-        if isinstance(value, str):
-            return Fraction(value)
-        if isinstance(value, dict):
-            return Fraction(value["num"], value["den"])
-        if isinstance(value, int) and not isinstance(value, bool):
-            return Fraction(value)
-    except (ValueError, ZeroDivisionError, KeyError, TypeError):
-        pass
-    raise DomainError(f"batch field {key!r} must be a rational ('p/q', integer, or num/den), got {value!r}")
-
-
-def _dispatch_record(kind, rec: dict) -> dict:
-    if kind == "wps":
-        return compute_principal_wps(_record_int_list(rec, "weights"))
-    if kind == "wci":
-        return compute_principal_wci(_record_int_list(rec, "weights"), _record_int_list(rec, "degrees"))
-    if kind == "brieskorn":
-        return compute_principal_brieskorn(_record_int_list(rec, "exponents"))
-    if kind == "orbit-wps":
-        return compute_orbit_wps(
-            _record_int_list(rec, "weights"),
-            _record_int_list(rec, "support"),
-            _record_bool(rec, "allow_extrapolation", False),
-        )
-    if kind == "orbit-brieskorn":
-        return compute_orbit_brieskorn(
-            _record_int_list(rec, "exponents"),
-            _record_int_list(rec, "support"),
-            _record_bool(rec, "allow_extrapolation", False),
-        )
-    if kind == "teardrop":
-        degree = _record_int(rec, "degree", None) if "degree" in rec else None
-        return compute_teardrop(_record_int(rec, "m"), degree)
-    if kind == "verify":
-        check = _record_field(rec, "check")
-        if check == "lemma42":
-            tol = _record_field(rec, "tol", 1e-8)
-            if not isinstance(tol, (int, float)) or isinstance(tol, bool):
-                raise DomainError(f"batch field 'tol' must be a number, got {tol!r}")
-            try:
-                tol = float(tol)
-            except OverflowError:
-                raise DomainError(
-                    f"batch field 'tol' of {tol.bit_length()} bits is outside the float range"
-                ) from None
-            return compute_verify_lemma42(
-                _record_int(rec, "w0"), _record_int(rec, "w1"), tol, _eval_budget()
-            )
-        if check == "winding":
-            samples = _record_int(rec, "samples", None) if "samples" in rec else None
-            return compute_verify_winding(_record_int_list(rec, "rates"), samples)
-        if check == "scalar-cz":
-            return compute_verify_scalar(_record_rational(rec, "T"))
-        raise DomainError(f"unknown verify check {check!r}")
-    raise DomainError(f"unknown batch record kind {kind!r}")
+        rec = json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError; the int-string digit limit, which json raises as a
+        # plain ValueError; or nesting deeper than the decoder's recursion limit.
+        msg = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
+        error = {"type": "malformed", "message": f"line {lineno}: {msg}"}
+        return {"id": rec_id, "kind": kind, "status": "error", "error": error}, 2
+    try:
+        if not isinstance(rec, dict):
+            raise DomainError(f"line {lineno}: record must be a JSON object")
+        rec_id, kind = rec.get("id"), rec.get("kind")
+        return {"id": rec_id, "kind": kind, "status": "ok", "result": run(rec)}, 0
+    except CzorbError as exc:
+        return {"id": rec_id, "kind": kind, "status": "error", "error": _error_payload(exc)}, exc.exit_code
 
 
 def _run_batch(args) -> int:
@@ -416,176 +501,86 @@ def _run_batch(args) -> int:
             line = line.strip()
             if not line:
                 continue
-            rec_id = None
-            kind = None
-            try:
-                rec = json.loads(line)
-            except ValueError as exc:
-                # JSONDecodeError, or the int-string digit limit, which json
-                # raises as a plain ValueError.
-                msg = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
-                out = {
-                    "id": rec_id,
-                    "kind": kind,
-                    "status": "error",
-                    "error": {"type": "malformed", "message": f"line {lineno}: {msg}"},
-                }
-                worst = max(worst, 2)
-            else:
-                try:
-                    if not isinstance(rec, dict):
-                        raise DomainError(f"line {lineno}: record must be a JSON object")
-                    rec_id = rec.get("id")
-                    kind = rec.get("kind")
-                    result = _dispatch_record(kind, rec)
-                    out = {"id": rec_id, "kind": kind, "status": "ok", "result": result}
-                except CzorbError as exc:
-                    out = {
-                        "id": rec_id,
-                        "kind": kind,
-                        "status": "error",
-                        "error": _error_payload(exc),
-                    }
-                    worst = max(worst, exc.exit_code)
+            out, code = _run_line(lineno, line)
+            worst = max(worst, code)
             if args.json:
                 print(dumps(out))
             else:
                 tag = out["id"] if out["id"] is not None else "-"
-                if out["status"] == "ok":
-                    print(f"{tag}: ok {dumps(out['result'])}")
-                else:
-                    print(f"{tag}: error {dumps(out['error'])}")
+                print(f"{tag}: {out['status']} {dumps(out.get('result', out.get('error')))}")
     return worst
 
 
 # ---------------------------------------------------------------------------
-# argv handlers
+# argv
 
-def _eval_budget() -> int:
-    raw = os.environ.get("CZORB_EVAL_BUDGET")
-    if raw is None:
-        return DEFAULT_EVAL_BUDGET
-    try:
-        return int(raw)
-    except ValueError:
-        raise DomainError(f"CZORB_EVAL_BUDGET must be an integer, got {raw!r}")
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser with usage failures mapped to exit code 1."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _handle_weights(args):
-    payload = compute_weights(args.weights)
-    return payload, _render_weights(payload)
+def _dest(field: Field) -> str:
+    return field.spelling.lstrip("-").replace("-", "_")
 
 
-def _handle_cz_principal(args):
-    if args.wps is not None:
-        payload = compute_principal_wps(args.wps)
-    elif args.wci is not None:
-        if args.degrees is None:
-            raise UsageError("--wci requires --degrees")
-        payload = compute_principal_wci(args.wci, args.degrees)
-    else:
-        payload = compute_principal_brieskorn(args.brieskorn)
-    return payload, _render_cz(payload)
+def _add_field(parser, field: Field, required: bool) -> None:
+    kwargs = dict(field.type.add_argument, help=field.help)
+    if field.spelling.startswith("-"):
+        kwargs["required"] = required
+    parser.add_argument(field.spelling, **kwargs)
 
 
-def _handle_cz_orbit(args):
-    if args.wps is not None:
-        payload = compute_orbit_wps(args.wps, args.support, args.allow_extrapolation)
-    else:
-        payload = compute_orbit_brieskorn(args.brieskorn, args.support, args.allow_extrapolation)
-    return payload, _render_cz(payload)
-
-
-def _handle_teardrop(args):
-    payload = compute_teardrop(args.m, args.degree)
-    return payload, _render_teardrop(payload)
-
-
-def _handle_verify_lemma42(args):
-    payload = compute_verify_lemma42(args.w0, args.w1, args.tol, _eval_budget())
-    return payload, _render_verify(payload)
-
-
-def _handle_verify_winding(args):
-    payload = compute_verify_winding(args.rates, args.samples)
-    return payload, _render_verify(payload)
-
-
-def _handle_verify_scalar(args):
-    payload = compute_verify_scalar(args.T)
-    return payload, _render_verify(payload)
+def _add_operations(parser: argparse.ArgumentParser, ops: list[Operation]) -> None:
+    """Arguments of the command that runs `ops`. Several operations on one
+    command are told apart by their first field, one of a required group."""
+    fields = [field for op in ops for field in op.fields]
+    if len(ops) > 1:
+        group = parser.add_mutually_exclusive_group(required=True)
+        for op in ops:
+            _add_field(group, op.fields[0], False)
+        fields = [field for op in ops for field in op.fields[1:]]
+    seen = set()
+    for field in sorted(fields, key=lambda f: f.default is not REQUIRED):
+        if field.spelling not in seen:
+            seen.add(field.spelling)
+            required = field.default is REQUIRED and all(field in op.fields for op in ops)
+            _add_field(parser, field, required)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="czorb", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    def add_json_flag(p):
+    groups = {"": parser.add_subparsers(dest="command", required=True, parser_class=_Parser)}
+    for command, help in COMMAND_HELP.items():
+        group, _, name = command.rpartition(" ")
+        p = groups[group].add_parser(name, help=help)
+        ops = [op for op in OPERATIONS if op.command == command]
+        if ops:
+            _add_operations(p, ops)
+        elif command == "batch":
+            p.add_argument("file", help="path to an NDJSON batch file")
+        else:
+            groups[command] = p.add_subparsers(dest=f"{name}_command", required=True, parser_class=_Parser)
+            continue
         p.add_argument("--json", action="store_true", help="emit a canonical JSON object")
-
-    p = sub.add_parser("weights", help="weight-vector invariants")
-    p.add_argument("weights", type=_csv_ints, help="comma-separated weights, e.g. 4,4,5,14")
-    add_json_flag(p)
-    p.set_defaults(handler=_handle_weights)
-
-    cz = sub.add_parser("cz", help="Conley-Zehnder indices")
-    cz_sub = cz.add_subparsers(dest="cz_command", required=True, parser_class=_Parser)
-
-    p = cz_sub.add_parser("principal", help="principal-orbit index")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--wps", type=_csv_ints, help="weighted projective space weights")
-    group.add_argument("--wci", type=_csv_ints, help="complete-intersection ambient weights")
-    group.add_argument("--brieskorn", type=_csv_ints, help="Brieskorn exponents")
-    p.add_argument("--degrees", type=_csv_ints, help="complete-intersection multidegree (with --wci)")
-    add_json_flag(p)
-    p.set_defaults(handler=_handle_cz_principal)
-
-    p = cz_sub.add_parser("orbit", help="orbit index for a coordinate support set")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--wps", type=_csv_ints, help="weighted projective space weights")
-    group.add_argument("--brieskorn", type=_csv_ints, help="Brieskorn exponents")
-    p.add_argument("--support", type=_csv_ints, required=True, help="indices of nonzero coordinates")
-    p.add_argument(
-        "--allow-extrapolation",
-        action="store_true",
-        help="apply the reduction formula beyond the covered cases (labeled in the output)",
-    )
-    add_json_flag(p)
-    p.set_defaults(handler=_handle_cz_orbit)
-
-    p = sub.add_parser("teardrop", help="teardrop orbifold (co)homology and Chern number")
-    p.add_argument("m", type=int, help="cone point order, m >= 2")
-    p.add_argument("--degree", type=int, default=None, help="single degree instead of the full table")
-    add_json_flag(p)
-    p.set_defaults(handler=_handle_teardrop)
-
-    verify = sub.add_parser("verify", help="numeric cross-checks")
-    verify_sub = verify.add_subparsers(dest="verify_command", required=True, parser_class=_Parser)
-
-    p = verify_sub.add_parser("lemma42", help="quadrature of the two-weight chart integral")
-    p.add_argument("--w0", type=int, required=True)
-    p.add_argument("--w1", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
-    add_json_flag(p)
-    p.set_defaults(handler=_handle_verify_lemma42)
-
-    p = verify_sub.add_parser("winding", help="determinant winding of a diagonal loop")
-    p.add_argument("--rates", type=_csv_ints, required=True)
-    p.add_argument("--samples", type=int, default=None)
-    add_json_flag(p)
-    p.set_defaults(handler=_handle_verify_winding)
-
-    p = verify_sub.add_parser("scalar-cz", help="closed form vs crossing enumeration")
-    p.add_argument("--T", type=_rational_arg, required=True, help="duration, e.g. 7/2")
-    add_json_flag(p)
-    p.set_defaults(handler=_handle_verify_scalar)
-
-    p = sub.add_parser("batch", help="run newline-delimited JSON records")
-    p.add_argument("file", help="path to an NDJSON batch file")
-    add_json_flag(p)
-    p.set_defaults(handler=None)
-
+        p.set_defaults(ops=ops)
     return parser
+
+
+def _argv_record(args) -> tuple[Operation, dict]:
+    """The operation that argv selects, and its batch record."""
+    ops = args.ops
+    op = ops[0] if len(ops) == 1 else next(op for op in ops if getattr(args, _dest(op.fields[0])) is not None)
+    record = {"kind": op.kind, "check": op.check} if op.check else {"kind": op.kind}
+    for field in op.fields:
+        value = getattr(args, _dest(field))
+        if value is not None:
+            record[field.name] = value
+        elif field.default is REQUIRED:
+            raise UsageError(f"{op.fields[0].spelling} requires {field.spelling}")
+    return op, record
 
 
 def main(argv=None) -> int:
@@ -599,7 +594,8 @@ def main(argv=None) -> int:
         return _run_batch(args)
 
     try:
-        payload, lines = args.handler(args)
+        op, record = _argv_record(args)
+        payload = run(record)
     except UsageError as exc:
         print(f"czorb: error: {exc}", file=sys.stderr)
         return 1
@@ -612,7 +608,7 @@ def main(argv=None) -> int:
     if args.json:
         print(dumps(payload))
     else:
-        for line in lines:
+        for line in op.render(payload):
             print(line)
     return 0
 

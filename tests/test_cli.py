@@ -1,8 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from czorb.cli import dumps, main
+import czorb
+from czorb.cli import FLAG, INT, INTS, NUMBER, OPERATIONS, RATIONAL, REQUIRED, dumps, main, run
+from czorb.errors import CzorbError
 
 
 def run_cli(capsys, *argv):
@@ -188,6 +196,10 @@ def test_batch_continues_after_errors(capsys, tmp_path):
     lines = [
         "this is not json",
         json.dumps({"id": "bad", "kind": "wps", "weights": [2, 4, 6]}),
+        # num and den of a rational must be integers, as every integer field
+        json.dumps({"id": "bool-num", "kind": "verify", "check": "scalar-cz", "T": {"num": True, "den": 1}}),
+        json.dumps({"id": "bool-den", "kind": "verify", "check": "scalar-cz", "T": {"num": 3, "den": True}}),
+        json.dumps({"id": "null-den", "kind": "verify", "check": "scalar-cz", "T": {"num": 7, "den": None}}),
         json.dumps({"id": "good", "kind": "wps", "weights": [4, 4, 5, 14]}),
     ]
     path = tmp_path / "mixed.ndjson"
@@ -195,13 +207,14 @@ def test_batch_continues_after_errors(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "batch", str(path), "--json")
     assert code == 2
     recs = [json.loads(line) for line in out.strip().splitlines()]
-    assert len(recs) == 3
+    assert len(recs) == 6
     assert recs[0]["status"] == "error"
     assert recs[0]["error"]["type"] == "malformed"
     assert recs[1]["status"] == "error"
     assert recs[1]["error"]["gcd"] == 2
-    assert recs[2]["status"] == "ok"
-    assert recs[2]["result"]["index"] == 54
+    assert [rec["error"]["type"] for rec in recs[2:5]] == ["domain"] * 3
+    assert recs[5]["status"] == "ok"
+    assert recs[5]["result"]["index"] == 54
 
 
 def test_batch_refuses_values_outside_the_float_range(capsys, tmp_path):
@@ -239,6 +252,20 @@ def test_batch_line_over_the_int_digit_limit_is_malformed(capsys, tmp_path):
     assert recs[1]["status"] == "ok"
 
 
+def test_batch_line_nested_past_the_recursion_limit_is_malformed(capsys, tmp_path):
+    # json.loads raises RecursionError, not ValueError, on deep nesting; the
+    # record after it must still run.
+    path = tmp_path / "nested.ndjson"
+    path.write_text("[" * 100_000 + "\n" + '{"id":"good","kind":"teardrop","m":3}\n')
+    code, out, _ = run_cli(capsys, "batch", str(path), "--json")
+    assert code == 2
+    recs = [json.loads(line) for line in out.strip().splitlines()]
+    assert [rec["status"] for rec in recs] == ["error", "ok"]
+    assert recs[0]["error"]["type"] == "malformed"
+    assert recs[0]["error"]["message"].startswith("line 1: ")
+    assert recs[1]["id"] == "good"
+
+
 def test_batch_unreadable_file(capsys):
     code, _, err = run_cli(capsys, "batch", "/no/such/file.ndjson")
     assert code == 1
@@ -250,6 +277,7 @@ def test_batch_verify_records(capsys, tmp_path):
         {"id": "v1", "kind": "verify", "check": "scalar-cz", "T": "5/4"},
         {"id": "v2", "kind": "verify", "check": "winding", "rates": [3, -3]},
         {"id": "v3", "kind": "teardrop", "m": 5, "degree": 4},
+        {"id": "v4", "kind": "weights", "weights": [4, 4, 5, 14]},
     ]
     path = tmp_path / "verify.ndjson"
     path.write_text("".join(json.dumps(r) + "\n" for r in records))
@@ -259,3 +287,102 @@ def test_batch_verify_records(capsys, tmp_path):
     assert recs[0]["result"]["closed_form"] == 1
     assert recs[1]["result"]["winding"] == 0
     assert recs[2]["result"]["cohomology"] == "Z_5"
+    assert recs[3]["result"]["a_w"] == 2
+
+
+def _child_env():
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(czorb.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_module_entry_point_lists_every_subcommand(capsys):
+    out = subprocess.run(
+        [sys.executable, "-m", "czorb.cli", "--help"], capture_output=True, text=True, env=_child_env(), timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    for command in ("weights", "cz", "teardrop", "verify", "batch"):
+        assert f"\n    {command} " in out.stdout
+    for group, commands in (("cz", ("principal", "orbit")), ("verify", ("lemma42", "winding", "scalar-cz"))):
+        code, out, _ = run_cli(capsys, group, "--help")
+        assert code == 0
+        for command in commands:
+            assert f"\n    {command} " in out
+
+
+def test_principal_help_keeps_the_space_group(capsys):
+    code, out, _ = run_cli(capsys, "cz", "principal", "--help")
+    assert code == 0
+    assert "(--wps WPS | --wci WCI | --brieskorn BRIESKORN)" in out
+
+
+def test_import_czorb_leaves_the_cli_out():
+    probe = "import sys, czorb; print([m for m in ('czorb.cli', 'argparse') if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=_child_env(), timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+# Values each field is drawn from, as (argv text, record value). The ranges
+# keep every oracle call small and give both answers and refusals; a
+# positional list starts with no "-", which argparse would read as an option.
+_LISTS = {
+    "support": st.lists(st.integers(0, 5), min_size=1, max_size=4),
+    "rates": st.lists(st.integers(-9, 9), min_size=1, max_size=5),
+}
+_RECORD_RATIONAL = st.sampled_from(
+    [lambda x: f"{x.numerator}/{x.denominator}", lambda x: {"num": x.numerator, "den": x.denominator}]
+)
+
+
+@st.composite
+def _field_value(draw, field):
+    if field.type is INTS:
+        value = draw(_LISTS.get(field.name, st.lists(st.integers(1, 24), min_size=1, max_size=6)))
+        return ",".join(map(str, value)), value
+    if field.type is INT:
+        value = draw(st.integers(-1, 40))
+        return str(value), value
+    if field.type is NUMBER:
+        value = draw(st.sampled_from([1e-4, 3e-6, 1e-8]))
+        return repr(value), value
+    if field.type is RATIONAL:
+        value = Fraction(draw(st.integers(-5, 300)), draw(st.integers(1, 6)))
+        return f"{value.numerator}/{value.denominator}", draw(_RECORD_RATIONAL)(value)
+    assert field.type is FLAG
+    return None, True
+
+
+@pytest.mark.parametrize("op", OPERATIONS, ids=lambda op: op.check or op.kind)
+@given(data=st.data())
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_argv_batch_and_run_agree(capsys, tmp_path, op, data):
+    argv = op.command.split()
+    record = {"kind": op.kind, **({"check": op.check} if op.check else {})}
+    for field in op.fields:
+        if field.default is not REQUIRED and not data.draw(st.booleans()):
+            continue
+        text, value = data.draw(_field_value(field))
+        record[field.name] = value
+        if text is None:
+            argv.append(field.spelling)
+        elif field.spelling.startswith("-"):
+            argv.append(f"{field.spelling}={text}")
+        else:
+            argv.append(text)
+    path = tmp_path / "one.ndjson"
+    path.write_text(json.dumps(record) + "\n")
+    argv_code, argv_out, _ = run_cli(capsys, *argv, "--json")
+    batch_code, batch_out, _ = run_cli(capsys, "batch", str(path), "--json")
+    batch = json.loads(batch_out)
+    try:
+        result = run(record)
+    except CzorbError as exc:
+        assert argv_code == batch_code == exc.exit_code
+        argv_error = json.loads(argv_out)["error"]
+        assert argv_error == batch["error"]
+        assert argv_error["message"] == str(exc)
+    else:
+        assert argv_code == batch_code == 0
+        assert argv_out.strip() == dumps(batch["result"]) == dumps(result)
