@@ -287,7 +287,7 @@ def compute_verify_lemma42(w0: int, w1: int, tol: float) -> dict:
 
 
 def compute_verify_winding(rates: list[int], samples: int | None) -> dict:
-    result = det_winding(rates, samples)
+    result = det_winding(rates, samples, _eval_budget())
     return {
         "check": "winding",
         "rates": list(rates),
@@ -475,9 +475,16 @@ def _run_line(lineno: int, line: str) -> tuple[dict, int]:
     try:
         rec = json.loads(line)
     except (ValueError, RecursionError) as exc:
-        # JSONDecodeError; the int-string digit limit, which json raises as a
-        # plain ValueError; or nesting deeper than the decoder's recursion limit.
-        msg = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
+        # Python's own wording of these errors differs between versions, so
+        # the message is czorb's. json raises the int-string digit limit as a
+        # plain ValueError, and nesting past the recursion limit as
+        # RecursionError.
+        if isinstance(exc, json.JSONDecodeError):
+            msg = "not valid JSON"
+        elif isinstance(exc, ValueError):
+            msg = f"integer of more than {sys.get_int_max_str_digits()} digits"
+        else:
+            msg = "nested too deeply"
         error = {"type": "malformed", "message": f"line {lineno}: {msg}"}
         return {"id": rec_id, "kind": kind, "status": "error", "error": error}, 2
     try:

@@ -234,6 +234,35 @@ def test_batch_refuses_values_outside_the_float_range(capsys, tmp_path):
     assert recs[3]["status"] == "ok"
 
 
+def test_batch_refuses_winding_over_the_budget(capsys, tmp_path, monkeypatch):
+    # 4e20 samples: refused before sampling, and the next record runs.
+    monkeypatch.delenv("CZORB_EVAL_BUDGET", raising=False)
+    records = [
+        {"id": "huge", "kind": "verify", "check": "winding", "rates": [10**20]},
+        {"id": "good", "kind": "verify", "check": "winding", "rates": [4, 4, 5, 14]},
+    ]
+    path = tmp_path / "budget.ndjson"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    code, out, _ = run_cli(capsys, "batch", str(path), "--json")
+    assert code == 2
+    recs = [json.loads(line) for line in out.strip().splitlines()]
+    assert [rec["status"] for rec in recs] == ["error", "ok"]
+    assert recs[0]["error"]["type"] == "domain"
+    assert "budget 1000000" in recs[0]["error"]["message"]
+    assert recs[1]["result"]["winding"] == 27
+
+
+def test_winding_budget_comes_from_the_environment(capsys, monkeypatch):
+    monkeypatch.setenv("CZORB_EVAL_BUDGET", "495")
+    code, _, err = run_cli(capsys, "verify", "winding", "--rates", "4,4,5,14")
+    assert code == 2
+    assert "budget 495" in err
+    monkeypatch.setenv("CZORB_EVAL_BUDGET", "496")
+    code, payload, _ = run_json(capsys, "verify", "winding", "--rates", "4,4,5,14")
+    assert code == 0
+    assert payload["winding"] == 27
+
+
 def test_batch_line_over_the_int_digit_limit_is_malformed(capsys, tmp_path):
     # json.loads raises a plain ValueError, not a JSONDecodeError, for an
     # integer of more than 4300 digits; the record after it must still run.
@@ -246,8 +275,7 @@ def test_batch_line_over_the_int_digit_limit_is_malformed(capsys, tmp_path):
     recs = [json.loads(line) for line in out.strip().splitlines()]
     assert len(recs) == 2
     assert recs[0]["status"] == "error"
-    assert recs[0]["error"]["type"] == "malformed"
-    assert recs[0]["error"]["message"].startswith("line 1: ")
+    assert recs[0]["error"] == {"type": "malformed", "message": "line 1: integer of more than 4300 digits"}
     assert recs[1]["id"] == "good"
     assert recs[1]["status"] == "ok"
 
@@ -261,8 +289,7 @@ def test_batch_line_nested_past_the_recursion_limit_is_malformed(capsys, tmp_pat
     assert code == 2
     recs = [json.loads(line) for line in out.strip().splitlines()]
     assert [rec["status"] for rec in recs] == ["error", "ok"]
-    assert recs[0]["error"]["type"] == "malformed"
-    assert recs[0]["error"]["message"].startswith("line 1: ")
+    assert recs[0]["error"] == {"type": "malformed", "message": "line 1: nested too deeply"}
     assert recs[1]["id"] == "good"
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from czorb import cz_paths
 from czorb.cz_paths import (
+    _BLOCK,
     DiagonalPath,
     ScalarPath,
     crossing_oracle_scalar,
@@ -17,6 +20,7 @@ from czorb.cz_paths import (
     unwrapped_winding_phase,
 )
 from czorb.errors import DomainError, UncoveredCaseError
+from czorb.numeric_verify import DEFAULT_EVAL_BUDGET
 
 
 def test_scalar_cz_examples():
@@ -174,4 +178,62 @@ def test_det_winding_random_vectors():
 
 def test_unwrapped_winding_phase_golden_value():
     # Exact float equality: any change in the order of the arithmetic fails.
-    assert unwrapped_winding_phase((4, 4, 5, 14), 124) == 169.646003293849
+    # The value is float(27 * 2*pi): the increments add up exactly.
+    assert unwrapped_winding_phase((4, 4, 5, 14), 124) == 169.64600329384882 == 27 * 2 * math.pi
+
+
+def trig_loop_winding_phase(rates, samples):
+    """The kernel as a cos/sin/atan2 loop over (sample, rate): each factor
+    computed from its angle, each sample's phase unwrapped against the last."""
+    two_pi = 2.0 * math.pi
+    total = 0.0
+    prev = 0.0
+    for k in range(1, samples + 1):
+        t = k / samples
+        re = 1.0
+        im = 0.0
+        for r in rates:
+            ang = two_pi * r * t
+            c = math.cos(ang)
+            s = math.sin(ang)
+            re, im = re * c - im * s, re * s + im * c
+        phase = math.atan2(im, re)
+        d = phase - prev
+        if d > math.pi:
+            d -= two_pi
+        elif d <= -math.pi:
+            d += two_pi
+        total += d
+        prev = phase
+    return total
+
+
+@given(
+    st.lists(st.integers(-100, 100), min_size=1, max_size=24),
+    st.integers(0, 3 * _BLOCK),
+)
+@settings(max_examples=60, deadline=None)
+def test_winding_kernel_matches_the_trig_loop(rates, extra):
+    # From the unwrap-safe minimum up to three more blocks, so sample counts
+    # that are not a multiple of the block size are drawn.
+    samples = 4 * sum(map(abs, rates)) + 16 + extra
+    turns = unwrapped_winding_phase(rates, samples) / (2 * math.pi)
+    assert round(turns) == round(trig_loop_winding_phase(rates, samples) / (2 * math.pi)) == sum(rates)
+    assert abs(turns - round(turns)) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "rates, samples",
+    [
+        ([10**20], None),  # 4e20 samples
+        ([1] * 2000, None),  # 8016 samples x 2000 rates
+        ([4, 4, 5, 14], 250_001),  # 4 rates x 250 001 samples
+    ],
+)
+def test_det_winding_refuses_work_over_the_budget_before_sampling(monkeypatch, rates, samples):
+    def kernel_must_not_run(rates, samples):
+        raise AssertionError("the kernel ran")
+
+    monkeypatch.setattr(cz_paths, "unwrapped_winding_phase", kernel_must_not_run)
+    with pytest.raises(DomainError, match=f"budget {DEFAULT_EVAL_BUDGET}"):
+        det_winding(rates, samples)

@@ -5,9 +5,8 @@ every error type. `data/reference.json.out` and `data/reference.human.out`
 are its `czorb batch` output with and without `--json`;
 `data/reference_argv.txt` is a transcript of argv calls, each with its
 stdout, the last line of its stderr (after `! `) and its exit code. The
-expected bytes are the same on Python 3.10 to 3.13, so no input here may
-produce a message that Python words differently by version (the
-int-string digit limit, a trailing comma in JSON) or a usage line.
+expected bytes are the same on Python 3.10 to 3.13, so no call here may
+print a usage line, which argparse words differently by version.
 """
 
 import shlex
