@@ -14,15 +14,10 @@ from .cz_indices import (
     orbit_spec,
 )
 from .cz_paths import (
-    DiagonalPath,
-    ScalarPath,
     WindingResult,
     crossing_oracle_scalar,
     det_winding,
-    diagonal_cz,
-    loop_cz_from_maslov,
     scalar_cz,
-    scalar_cz_rated,
 )
 from .errors import (
     ConvergenceError,
@@ -54,8 +49,6 @@ from .spaces import (
 from .weights import (
     WeightInvariants,
     WeightVector,
-    classifying_multiplier,
-    fw_degree,
     invariants,
     make_weight_vector,
     symplectic_area,
@@ -70,13 +63,11 @@ __all__ = [
     "CZReport",
     "ConvergenceError",
     "CzorbError",
-    "DiagonalPath",
     "DomainError",
     "Factorization",
     "NonCoprimeError",
     "OrbitSpec",
     "QuadratureResult",
-    "ScalarPath",
     "TheoremCheck",
     "UncoveredCaseError",
     "WCISpace",
@@ -89,15 +80,11 @@ __all__ = [
     "brieskorn_to_wci",
     "chart_integral",
     "check_theorem_hypotheses",
-    "classifying_multiplier",
     "compute_l2",
     "crossing_oracle_scalar",
     "det_winding",
-    "diagonal_cz",
     "factorize",
-    "fw_degree",
     "invariants",
-    "loop_cz_from_maslov",
     "make_brieskorn_exponents",
     "make_wci_space",
     "make_weight_vector",
@@ -109,7 +96,6 @@ __all__ = [
     "ord_p",
     "p_star_factor",
     "scalar_cz",
-    "scalar_cz_rated",
     "symplectic_area",
     "teardrop_cohomology",
     "teardrop_homology",

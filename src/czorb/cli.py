@@ -301,7 +301,7 @@ def compute_verify_winding(rates: list[int], samples: int | None) -> dict:
 
 def compute_verify_scalar(T: Fraction) -> dict:
     closed = scalar_cz(T)
-    oracle = crossing_oracle_scalar(T)
+    oracle = crossing_oracle_scalar(T, _eval_budget())
     return {
         "check": "scalar-cz",
         "T": _rational_json(T),
@@ -473,6 +473,7 @@ def _run_line(lineno: int, line: str) -> tuple[dict, int]:
     """The output record of one batch line, and its exit code."""
     rec_id = kind = None
     try:
+        line.encode("utf-8")  # a byte the file's decoding escaped fails here
         rec = json.loads(line)
     except (ValueError, RecursionError) as exc:
         # Python's own wording of these errors differs between versions, so
@@ -481,6 +482,8 @@ def _run_line(lineno: int, line: str) -> tuple[dict, int]:
         # RecursionError.
         if isinstance(exc, json.JSONDecodeError):
             msg = "not valid JSON"
+        elif isinstance(exc, UnicodeError):
+            msg = "not valid UTF-8"
         elif isinstance(exc, ValueError):
             msg = f"integer of more than {sys.get_int_max_str_digits()} digits"
         else:
@@ -498,7 +501,9 @@ def _run_line(lineno: int, line: str) -> tuple[dict, int]:
 
 def _run_batch(args) -> int:
     try:
-        fh = open(args.file, encoding="utf-8")
+        # Bytes that are not UTF-8 become lone surrogates, so one bad line is
+        # a malformed record and the lines keep text mode's newline rules.
+        fh = open(args.file, encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         print(f"czorb: cannot read batch file: {exc}", file=sys.stderr)
         return 1

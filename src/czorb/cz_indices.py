@@ -118,28 +118,36 @@ def mu_principal_brieskorn(be: BrieskornExponents) -> CZReport:
     return CZReport(index=index, branch=Branch.PRINCIPAL_BRIESKORN, b_constant=index // 2)
 
 
-def _transverse_term(k: int, wk: int, d: int, allow_extrapolation: bool, notes: list) -> tuple[int, bool]:
-    """Index contribution of the transverse coordinate k of weight wk over
-    isotropy order d: the scalar index of duration wk/d.
+def _transverse_term(
+    wv: WeightVector, s: frozenset[int], d: int, allow_extrapolation: bool, notes: list
+) -> tuple[int, bool]:
+    """Index contribution of the coordinates outside the support s, over
+    isotropy order d, and whether any was extrapolated: coordinate k adds the
+    scalar index of duration w_k/d, visited in ascending k.
 
     The even-integer duration is a closed transverse loop, which no covered
     case adjudicates; it is refused unless extrapolation was requested.
     """
-    ratio = Fraction(wk, d)
-    tau = scalar_cz(ratio)
-    if ratio.denominator == 1 and ratio.numerator % 2 == 0:
-        if not allow_extrapolation:
-            raise UncoveredCaseError(
-                f"transverse coordinate {k} (weight {wk} over isotropy {d}) gives the even "
-                f"integer {int(ratio)}; this closed-loop case is uncovered (pass "
-                "allow_extrapolation to use the even scalar branch)"
+    total = 0
+    extrapolated = False
+    for k, wk in enumerate(wv.w):
+        if k in s:
+            continue
+        ratio = Fraction(wk, d)
+        total += scalar_cz(ratio)
+        if ratio.denominator == 1 and ratio.numerator % 2 == 0:
+            if not allow_extrapolation:
+                raise UncoveredCaseError(
+                    f"transverse coordinate {k} (weight {wk} over isotropy {d}) gives the even "
+                    f"integer {int(ratio)}; this closed-loop case is uncovered (pass "
+                    "allow_extrapolation to use the even scalar branch)"
+                )
+            notes.append(
+                f"transverse coordinate {k} has ratio {int(ratio)}, an even integer; indexed with "
+                "the even scalar branch beyond the covered cases"
             )
-        notes.append(
-            f"transverse coordinate {k} has ratio {int(ratio)}, an even integer; indexed with "
-            "the even scalar branch beyond the covered cases"
-        )
-        return tau, True
-    return tau, False
+            extrapolated = True
+    return total, extrapolated
 
 
 def mu_orbit_wps(
@@ -194,18 +202,11 @@ def mu_orbit_wps(
         )
         extrapolated = True
 
-    in_stratum = 2 * sum(wv[j] // d for j in sorted(s))
-    index = in_stratum
-    for k in range(len(wv)):
-        if k in s:
-            continue
-        tau, extra = _transverse_term(k, wv[k], d, allow_extrapolation, notes)
-        index += tau
-        extrapolated = extrapolated or extra
+    transverse, extra = _transverse_term(wv, s, d, allow_extrapolation, notes)
     return CZReport(
-        index=index,
+        index=2 * sum(wv[j] // d for j in sorted(s)) + transverse,
         branch=Branch.NONPRINCIPAL_WPS,
-        extrapolated=extrapolated,
+        extrapolated=extrapolated or extra,
         notes=tuple(notes),
     )
 
@@ -251,16 +252,9 @@ def mu_orbit_brieskorn(
     reduced = 2 * l_s * (sum(Fraction(1, be.a[j]) for j in sorted(s)) - 1)
     if reduced.denominator != 1:
         raise AssertionError(f"non-integer reduced index {reduced} for support {sorted(s)}")
-    index = int(reduced)
-    extrapolated = False
-    for k in range(len(wv)):
-        if k in s:
-            continue
-        tau, extra = _transverse_term(k, wv[k], d, allow_extrapolation, notes)
-        index += tau
-        extrapolated = extrapolated or extra
+    transverse, extrapolated = _transverse_term(wv, s, d, allow_extrapolation, notes)
     return CZReport(
-        index=index,
+        index=int(reduced) + transverse,
         branch=Branch.NONPRINCIPAL_BRIESKORN,
         extrapolated=extrapolated,
         notes=tuple(notes),

@@ -1,4 +1,4 @@
-"""Conley-Zehnder indices of scalar and diagonal unitary paths.
+"""Conley-Zehnder index of the scalar unitary path, and its oracles.
 
 The closed form for the unit-rate scalar path t -> exp(i*pi*t) on [0, T] is
 
@@ -6,8 +6,7 @@ The closed form for the unit-rate scalar path t -> exp(i*pi*t) on [0, T] is
     2*floor(T/2)+1  otherwise,
 
 and a path of rate lambda on [0, T] reparametrizes to the unit-rate path on
-[0, lambda*T]. Diagonal paths add componentwise. Two independent oracles live
-here as well:
+[0, lambda*T]. Two independent oracles live here as well:
 
 - crossing enumeration for the scalar formula: every crossing time is
   visited, so the count does not use the floor formula;
@@ -15,9 +14,6 @@ here as well:
   root of unity per rate is formed at every sample and its phase unwrapped.
   The roots come from one table indexed by an exact integer reduction, but
   the closed form, the sum of the signed rates, is never computed.
-
-Only positive rotation rates are covered; negative rates are rejected rather
-than guessed, since no convention for them is pinned down by a worked case.
 """
 
 from __future__ import annotations
@@ -30,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .errors import ConvergenceError, DomainError, UncoveredCaseError
+from .errors import ConvergenceError, DomainError
 from .numeric_verify import DEFAULT_EVAL_BUDGET
 
 RationalLike = Union[Fraction, int]
@@ -43,37 +39,6 @@ def _positive_duration(T: RationalLike, op: str) -> Fraction:
     return T
 
 
-@dataclass(frozen=True)
-class ScalarPath:
-    """The path t -> exp(i*pi*rate*t) for t in [0, duration]."""
-
-    rate: Fraction
-    duration: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "rate", Fraction(self.rate))
-        object.__setattr__(self, "duration", Fraction(self.duration))
-        if self.duration <= 0:
-            raise DomainError(f"scalar path duration must be positive, got {self.duration}")
-        if self.rate == 0:
-            raise DomainError("rate 0 is a degenerate constant path")
-
-
-@dataclass(frozen=True)
-class DiagonalPath:
-    """Direct sum of scalar paths sharing one duration."""
-
-    components: tuple[ScalarPath, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
-        if not self.components:
-            raise DomainError("diagonal path needs at least one component")
-        durations = {c.duration for c in self.components}
-        if len(durations) > 1:
-            raise DomainError(f"diagonal path components must share one duration, got {durations}")
-
-
 def scalar_cz(T: RationalLike) -> int:
     """Index of the unit-rate scalar path on [0, T]."""
     T = _positive_duration(T, "scalar_cz")
@@ -82,38 +47,23 @@ def scalar_cz(T: RationalLike) -> int:
     return 2 * (T.numerator // (2 * T.denominator)) + 1
 
 
-def scalar_cz_rated(p: ScalarPath) -> int:
-    """Index of a scalar path of arbitrary positive rate, by reparametrizing
-    to the unit-rate path on [0, rate*duration]."""
-    if p.rate <= 0:
-        raise UncoveredCaseError(
-            f"only positively rotating scalar paths are covered, got rate {p.rate}"
-        )
-    return scalar_cz(p.rate * p.duration)
-
-
-def diagonal_cz(p: DiagonalPath) -> int:
-    """Index of a diagonal unitary path: the sum over components."""
-    return sum(scalar_cz_rated(c) for c in p.components)
-
-
-def loop_cz_from_maslov(maslov: int) -> int:
-    """Index contribution of a loop of winding number `maslov`: twice it."""
-    return 2 * maslov
-
-
-def crossing_oracle_scalar(T: RationalLike) -> int:
+def crossing_oracle_scalar(T: RationalLike, eval_budget: int = DEFAULT_EVAL_BUDGET) -> int:
     """Crossing enumeration oracle for scalar_cz.
 
     The unit-rate path meets 1 exactly at even integer times. Each endpoint
     crossing contributes half of a +2 signature, each interior crossing the
     full +2. Exact integer arithmetic, still an enumeration of crossings:
     with T = num/den, the crossing at time 2k is visited as 2*k*den <= num,
-    so the count stays independent of the closed form.
+    so the count stays independent of the closed form. More than
+    `eval_budget` crossings raise DomainError before the first is visited;
+    the count num // (2*den) + 1 only gates the call.
     """
     T = _positive_duration(T, "crossing_oracle_scalar")
     num, den = T.numerator, T.denominator
     step = 2 * den
+    if num // step + 1 > eval_budget:
+        # The count may have too many digits to print.
+        raise DomainError(f"crossing_oracle_scalar needs more crossings than the evaluation budget {eval_budget}")
     index = 0
     t = 0  # 2*k*den for the k-th crossing
     while t <= num:

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .errors import DomainError
-from .exact_arith import factorize, ord_p
+# Unused here; perfbench's trace points still name czorb.spaces.factorize and ord_p.
+from .exact_arith import factorize, ord_p  # noqa: F401
 from .weights import WeightVector, make_weight_vector
 
 
@@ -76,8 +77,11 @@ def compute_l2(a: Iterable[int]) -> int:
     valuation among the entries; multiply the resulting prime powers.
 
     Ties at the maximum count twice, so a constant vector gives l2 = lcm(a).
-    Only the entries that p divides are asked for their valuation; every
-    other entry has valuation 0, which never raises the second-largest.
+    One scan with no factoring: l is the lcm of the entries seen so far, and
+    l2 takes the lcm of every gcd(x, l). At p, gcd(a_j, l) has valuation
+    min(v_j, max_{i<j} v_i), the smaller of two valuations at distinct
+    positions, so no term exceeds the second-largest valuation; the later of
+    the two positions holding the largest two attains it.
     """
     a = tuple(a)
     if not a:
@@ -85,12 +89,9 @@ def compute_l2(a: Iterable[int]) -> int:
     for x in a:
         if x < 2:
             raise DomainError(f"compute_l2 requires entries >= 2, got {x}")
-    l = math.lcm(*a)
-    l2 = 1
-    for p, _ in factorize(l).pairs:
-        ords = sorted((ord_p(x, p) for x in a if x % p == 0), reverse=True)
-        second = ords[1] if len(ords) > 1 else 0
-        l2 *= p**second
+    l = l2 = 1
+    for x in a:
+        l, l2 = math.lcm(l, x), math.lcm(l2, math.gcd(x, l))
     return l2
 
 

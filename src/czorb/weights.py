@@ -134,15 +134,3 @@ def symplectic_area(wv: WeightVector) -> Fraction:
     """Pairing of the quotient symplectic class with the generating sphere:
     exactly -1 / (product of weights)."""
     return Fraction(-1, math.prod(wv.w))
-
-
-def fw_degree(wv: WeightVector) -> int:
-    """Degree of the coordinate power map [z_j] -> [z_j^{w_j}] from straight
-    projective space; equals the weight product for a gcd-1 vector."""
-    return math.prod(wv.w)
-
-
-def classifying_multiplier(wv: WeightVector) -> int:
-    """Multiplier picked up by degree-2 rational cohomology under the
-    classifying-space projection; equals the weight product."""
-    return math.prod(wv.w)

@@ -263,6 +263,54 @@ def test_winding_budget_comes_from_the_environment(capsys, monkeypatch):
     assert payload["winding"] == 27
 
 
+def test_batch_refuses_crossings_over_the_budget(capsys, tmp_path, monkeypatch):
+    # 5e99 crossings: refused before the first is visited, and the next record runs.
+    monkeypatch.delenv("CZORB_EVAL_BUDGET", raising=False)
+    records = [
+        {"id": "huge", "kind": "verify", "check": "scalar-cz", "T": "1e100"},
+        {"id": "good", "kind": "verify", "check": "scalar-cz", "T": "7/2"},
+    ]
+    path = tmp_path / "crossings.ndjson"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    code, out, _ = run_cli(capsys, "batch", str(path), "--json")
+    assert code == 2
+    recs = [json.loads(line) for line in out.strip().splitlines()]
+    assert [rec["status"] for rec in recs] == ["error", "ok"]
+    assert recs[0]["error"]["type"] == "domain"
+    assert "budget 1000000" in recs[0]["error"]["message"]
+    assert recs[1]["result"]["crossing_oracle"] == 3
+
+
+def test_crossing_budget_comes_from_the_environment(capsys, monkeypatch):
+    # T = 2000 has 1001 crossings.
+    monkeypatch.setenv("CZORB_EVAL_BUDGET", "1001")
+    code, payload, _ = run_json(capsys, "verify", "scalar-cz", "--T", "2000")
+    assert code == 0
+    assert payload["crossing_oracle"] == 2000
+    monkeypatch.setenv("CZORB_EVAL_BUDGET", "1000")
+    code, _, err = run_cli(capsys, "verify", "scalar-cz", "--T", "2000")
+    assert code == 2
+    assert "budget 1000" in err
+
+
+def test_batch_line_that_is_not_utf8_is_malformed(capsys, tmp_path):
+    # The lines around the bad byte run as before.
+    path = tmp_path / "latin1.ndjson"
+    record = b'{"id":"%s","kind":"teardrop","m":3}\n'
+    path.write_bytes(record % b"a" + record % b"\xe9" + record % b"b")
+    code, out, _ = run_cli(capsys, "batch", str(path), "--json")
+    assert code == 2
+    recs = [json.loads(line) for line in out.strip().splitlines()]
+    assert [rec["status"] for rec in recs] == ["ok", "error", "ok"]
+    assert recs[1] == {
+        "id": None,
+        "kind": None,
+        "status": "error",
+        "error": {"type": "malformed", "message": "line 2: not valid UTF-8"},
+    }
+    assert [recs[0]["id"], recs[2]["id"]] == ["a", "b"]
+
+
 def test_batch_line_over_the_int_digit_limit_is_malformed(capsys, tmp_path):
     # json.loads raises a plain ValueError, not a JSONDecodeError, for an
     # integer of more than 4300 digits; the record after it must still run.

@@ -13,7 +13,7 @@ from czorb.cz_indices import (
     mu_principal_brieskorn,
     orbit_spec,
 )
-from czorb.cz_paths import DiagonalPath, ScalarPath, det_winding, diagonal_cz, loop_cz_from_maslov
+from czorb.cz_paths import det_winding, scalar_cz
 from czorb.errors import DomainError, UncoveredCaseError
 from czorb.spaces import WPSpace, brieskorn_to_wci, make_brieskorn_exponents, make_wci_space
 from czorb.weights import make_weight_vector
@@ -177,7 +177,7 @@ def test_loop_and_winding_bridge():
     for w in ([4, 4, 5, 14], [1, 1], [5, 5, 5, 2], [1, 2, 3, 4, 5]):
         space = WPSpace(make_weight_vector(w))
         b = b_constant(space)
-        assert loop_cz_from_maslov(b) == mu_principal(space).index
+        assert 2 * det_winding(w).winding == mu_principal(space).index
         assert det_winding(w).winding == b == sum(w)
 
 
@@ -185,8 +185,7 @@ def test_principal_loop_as_diagonal_path():
     # the principal orbit of P(w) is the diagonal loop with rates 2*w_j on
     # [0,1]; componentwise addition must reproduce the principal index
     for w in ([4, 4, 5, 14], [1, 1], [5, 5, 5, 2]):
-        path = DiagonalPath(tuple(ScalarPath(rate=2 * wj, duration=1) for wj in w))
-        assert diagonal_cz(path) == mu_principal(WPSpace(make_weight_vector(w))).index
+        assert sum(scalar_cz(2 * wj) for wj in w) == mu_principal(WPSpace(make_weight_vector(w))).index
 
 
 def test_brieskorn_stratum_identities_random():

@@ -9,17 +9,12 @@ from hypothesis import strategies as st
 from czorb import cz_paths
 from czorb.cz_paths import (
     _BLOCK,
-    DiagonalPath,
-    ScalarPath,
     crossing_oracle_scalar,
     det_winding,
-    diagonal_cz,
-    loop_cz_from_maslov,
     scalar_cz,
-    scalar_cz_rated,
     unwrapped_winding_phase,
 )
-from czorb.errors import DomainError, UncoveredCaseError
+from czorb.errors import DomainError
 from czorb.numeric_verify import DEFAULT_EVAL_BUDGET
 
 
@@ -37,46 +32,21 @@ def test_scalar_cz_rejects_nonpositive():
         scalar_cz(Fraction(-3, 2))
 
 
-def test_scalar_cz_rated_examples():
-    assert scalar_cz_rated(ScalarPath(rate=2, duration=1)) == 2
-    assert scalar_cz_rated(ScalarPath(rate=Fraction(1, 2), duration=4)) == 2
-    assert scalar_cz_rated(ScalarPath(rate=5, duration=1)) == 5
-
-
-def test_scalar_path_validation():
-    with pytest.raises(DomainError):
-        ScalarPath(rate=1, duration=0)
-    with pytest.raises(DomainError):
-        ScalarPath(rate=0, duration=1)
-    with pytest.raises(UncoveredCaseError):
-        scalar_cz_rated(ScalarPath(rate=-1, duration=1))
-
-
-def test_diagonal_cz_examples():
-    p = DiagonalPath((ScalarPath(2, 1), ScalarPath(2, 1)))
-    assert diagonal_cz(p) == 4
-    assert diagonal_cz(DiagonalPath((ScalarPath(1, 3),))) == 3
-
-
-def test_diagonal_path_validation():
-    with pytest.raises(DomainError):
-        DiagonalPath(())
-    with pytest.raises(DomainError):
-        DiagonalPath((ScalarPath(1, 1), ScalarPath(1, 2)))
-
-
-def test_loop_cz_from_maslov():
-    assert loop_cz_from_maslov(27) == 54
-    assert loop_cz_from_maslov(0) == 0
-    assert loop_cz_from_maslov(-3) == -6
-
-
 def test_crossing_oracle_examples():
     assert crossing_oracle_scalar(4) == 4  # crossings at 0, 2, 4
     assert crossing_oracle_scalar(3) == 3  # crossings at 0, 2
     assert crossing_oracle_scalar(Fraction(3, 2)) == 1  # crossing at 0 only
     with pytest.raises(DomainError):
         crossing_oracle_scalar(0)
+
+
+def test_crossing_oracle_refuses_counts_over_the_budget():
+    # T = 2000 has the 1001 crossings 0, 2, ..., 2000.
+    assert crossing_oracle_scalar(2000, eval_budget=1001) == 2000
+    with pytest.raises(DomainError, match="budget 1000"):
+        crossing_oracle_scalar(2000, eval_budget=1000)
+    with pytest.raises(DomainError, match=f"budget {DEFAULT_EVAL_BUDGET}"):
+        crossing_oracle_scalar(Fraction(10**100))
 
 
 def test_crossing_oracle_agrees_with_closed_form():
@@ -132,9 +102,6 @@ def test_monotone_step_sweep():
         assert scalar_cz(Fraction(20 * m - 1, 10)) == 2 * m - 1
         assert scalar_cz(2 * m) == 2 * m
         assert scalar_cz(Fraction(20 * m + 1, 10)) == 2 * m + 1
-    # integer durations index to themselves, even via the loop property
-    for m in range(1, 11):
-        assert scalar_cz(2 * m) == 2 * m == loop_cz_from_maslov(m)
     for k in range(1, 201):
         if k % 10 == 0:
             assert values[k - 1] == k // 10

@@ -1,10 +1,14 @@
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import czorb
 from czorb.errors import DomainError
 from czorb.spaces import (
     WPSpace,
@@ -75,6 +79,19 @@ l2_vectors = st.lists(_prime_powers.filter(lambda x: x >= 2), min_size=1, max_si
 @settings(max_examples=300)
 def test_compute_l2_matches_brute_force_valuations(a):
     assert compute_l2(a) == brute_force_l2(a)
+
+
+def test_compute_l2_of_large_primes_needs_no_factoring():
+    # Each of four primes near 10**12 divides two entries, so l2 = p*q*r*s.
+    # Run in a child so that a factoring regression times out, not hangs.
+    p, q, r, s = 999999999989, 999999999959, 999999999937, 1000000000039
+    probe = f"from czorb.spaces import compute_l2; print(compute_l2([{p * q}, {p * r}, {q * s}, {r * s}]))"
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(czorb.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=20)
+    assert out.returncode == 0, out.stderr
+    assert int(out.stdout) == p * q * r * s
 
 
 def test_make_brieskorn_exponents():

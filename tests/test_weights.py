@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from czorb.errors import DomainError, NonCoprimeError
 from czorb.weights import (
-    classifying_multiplier,
-    fw_degree,
     invariants,
     make_weight_vector,
     symplectic_area,
@@ -89,19 +87,6 @@ def test_symplectic_area_examples():
     assert symplectic_area(make_weight_vector([1, 3])) == Fraction(-1, 3)
 
 
-def test_fw_degree_examples():
-    assert fw_degree(make_weight_vector([4, 4, 5, 14])) == 1120
-    assert fw_degree(make_weight_vector([1, 1, 1])) == 1
-    assert fw_degree(make_weight_vector([2, 3])) == 6
-
-
-def test_classifying_multiplier_examples():
-    assert classifying_multiplier(make_weight_vector([1, 4])) == 4
-    assert classifying_multiplier(make_weight_vector([1, 4])) == math.lcm(1, 4)
-    assert classifying_multiplier(make_weight_vector([1, 1, 1, 1])) == 1
-    assert classifying_multiplier(make_weight_vector([5, 5, 5, 2])) == 250
-
-
 @given(weight_vectors)
 @settings(max_examples=300)
 def test_d_pairwise_coprime_and_a_w_product(wv):
@@ -140,7 +125,7 @@ def test_well_formed_characterizations_agree(wv):
 @given(weight_vectors)
 @settings(max_examples=300)
 def test_area_times_degree_is_minus_one(wv):
-    assert symplectic_area(wv) * fw_degree(wv) == -1
+    assert symplectic_area(wv) * math.prod(wv.w) == -1
 
 
 @given(clustered_weight_vectors())
