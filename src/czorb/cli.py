@@ -93,6 +93,11 @@ def _error_payload(exc: CzorbError) -> dict:
     return {"type": "domain", "message": str(exc)}
 
 
+def _too_long() -> DomainError:
+    """The refusal of an answer that holds an integer too long for str()."""
+    return DomainError(f"result has an integer of more than {sys.get_int_max_str_digits()} digits")
+
+
 # ---------------------------------------------------------------------------
 # field types: how a value is read from argv and checked in a record
 
@@ -499,6 +504,13 @@ def _run_line(lineno: int, line: str) -> tuple[dict, int]:
         return {"id": rec_id, "kind": kind, "status": "error", "error": _error_payload(exc)}, exc.exit_code
 
 
+def _batch_text(out: dict, as_json: bool) -> str:
+    if as_json:
+        return dumps(out)
+    tag = out["id"] if out["id"] is not None else "-"
+    return f"{tag}: {out['status']} {dumps(out.get('result', out.get('error')))}"
+
+
 def _run_batch(args) -> int:
     try:
         # Bytes that are not UTF-8 become lone surrogates, so one bad line is
@@ -514,12 +526,17 @@ def _run_batch(args) -> int:
             if not line:
                 continue
             out, code = _run_line(lineno, line)
+            try:
+                text = _batch_text(out, args.json)
+            except ValueError:
+                # The answer holds an integer too long for str(); json
+                # raises that as a plain ValueError.
+                exc = _too_long()
+                out = {"id": out["id"], "kind": out["kind"], "status": "error", "error": _error_payload(exc)}
+                code = exc.exit_code
+                text = _batch_text(out, args.json)
             worst = max(worst, code)
-            if args.json:
-                print(dumps(out))
-            else:
-                tag = out["id"] if out["id"] is not None else "-"
-                print(f"{tag}: {out['status']} {dumps(out.get('result', out.get('error')))}")
+            print(text)
     return worst
 
 
@@ -608,6 +625,10 @@ def main(argv=None) -> int:
     try:
         op, record = _argv_record(args)
         payload = run(record)
+        try:
+            lines = [dumps(payload)] if args.json else op.render(payload)
+        except ValueError:
+            raise _too_long() from None
     except UsageError as exc:
         print(f"czorb: error: {exc}", file=sys.stderr)
         return 1
@@ -617,11 +638,8 @@ def main(argv=None) -> int:
         print(f"czorb: {exc}", file=sys.stderr)
         return exc.exit_code
 
-    if args.json:
-        print(dumps(payload))
-    else:
-        for line in op.render(payload):
-            print(line)
+    for line in lines:
+        print(line)
     return 0
 
 

@@ -15,6 +15,10 @@ d_S = gcd of the supported weights, the reduction formula is
 valid when the stratum is positive-dimensional and no transverse ratio
 w_k/d_S is an even integer. Outside those conditions the computation refuses
 by default; extrapolation is opt-in and labeled on the report.
+
+Every term is an integer and is computed in integers: a transverse term from
+divmod(w_k, 2*d_S), and the Brieskorn form 2*l*(sum(1/a_j) - 1), with l the
+lcm of the exponents, as 2*(sum(l/a_j) - l).
 """
 
 from __future__ import annotations
@@ -22,10 +26,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Iterable, Union
 
-from .cz_paths import scalar_cz
+# scalar_cz is not called here; the benchmark tracer patches
+# czorb.cz_indices.scalar_cz, and every patch point must resolve.
+from .cz_paths import scalar_cz, scalar_index  # noqa: F401
 from .errors import DomainError, UncoveredCaseError
 from .spaces import BrieskornExponents, WCISpace, WPSpace, brieskorn_to_wci
 from .weights import WeightVector, make_weight_vector
@@ -109,12 +114,21 @@ def mu_principal(space: Space) -> CZReport:
     return CZReport(index=2 * b, branch=branch, b_constant=b, notes=notes)
 
 
+def _lcm_quotient_sum(l: int, exponents) -> int:
+    """sum(l/a_j) over the exponents, each of which divides l."""
+    total = 0
+    for aj in exponents:
+        q, r = divmod(l, aj)
+        if r:
+            raise AssertionError(f"non-integer index: {aj} does not divide {l} for exponents {tuple(exponents)}")
+        total += q
+    return total
+
+
 def mu_principal_brieskorn(be: BrieskornExponents) -> CZReport:
-    """Principal-orbit index of a Brieskorn orbifold: 2*l*(sum(1/a_j) - 1)."""
-    total = 2 * be.l * (sum(Fraction(1, aj) for aj in be.a) - 1)
-    if total.denominator != 1:
-        raise AssertionError(f"non-integer principal index {total} for exponents {be.a}")
-    index = int(total)
+    """Principal-orbit index of a Brieskorn orbifold: 2*l*(sum(1/a_j) - 1),
+    evaluated in integers as 2*(sum(l/a_j) - l) with l = lcm(a)."""
+    index = 2 * (_lcm_quotient_sum(be.l, be.a) - be.l)
     return CZReport(index=index, branch=Branch.PRINCIPAL_BRIESKORN, b_constant=index // 2)
 
 
@@ -123,27 +137,28 @@ def _transverse_term(
 ) -> tuple[int, bool]:
     """Index contribution of the coordinates outside the support s, over
     isotropy order d, and whether any was extrapolated: coordinate k adds the
-    scalar index of duration w_k/d, visited in ascending k.
+    scalar index of duration w_k/d, visited in ascending k, from the integer
+    pair (w_k, d).
 
     The even-integer duration is a closed transverse loop, which no covered
     case adjudicates; it is refused unless extrapolation was requested.
     """
     total = 0
     extrapolated = False
+    period = 2 * d
     for k, wk in enumerate(wv.w):
         if k in s:
             continue
-        ratio = Fraction(wk, d)
-        total += scalar_cz(ratio)
-        if ratio.denominator == 1 and ratio.numerator % 2 == 0:
+        total += scalar_index(wk, d)
+        if wk % period == 0:
             if not allow_extrapolation:
                 raise UncoveredCaseError(
                     f"transverse coordinate {k} (weight {wk} over isotropy {d}) gives the even "
-                    f"integer {int(ratio)}; this closed-loop case is uncovered (pass "
+                    f"integer {wk // d}; this closed-loop case is uncovered (pass "
                     "allow_extrapolation to use the even scalar branch)"
                 )
             notes.append(
-                f"transverse coordinate {k} has ratio {int(ratio)}, an even integer; indexed with "
+                f"transverse coordinate {k} has ratio {wk // d}, an even integer; indexed with "
                 "the even scalar branch beyond the covered cases"
             )
             extrapolated = True
@@ -222,8 +237,8 @@ def mu_orbit_brieskorn(
     The restricted form must keep at least 3 variables so that the reduced
     principal formula applies to the stratum; its contribution is
     2*l_S*(sum_{j in S} 1/a_j - 1) with l_S the lcm of the supported
-    exponents, and transverse coordinates contribute scalar terms as in the
-    projective case.
+    exponents, evaluated in integers as 2*(sum_{j in S} l_S/a_j - l_S), and
+    transverse coordinates contribute scalar terms as in the projective case.
     """
     wci = brieskorn_to_wci(be)
     wv = wci.weights
@@ -248,13 +263,12 @@ def mu_orbit_brieskorn(
     notes = [
         f"isotropy order taken as the gcd of the ambient weights over the support ({d})"
     ]
-    l_s = math.lcm(*(be.a[j] for j in sorted(s)))
-    reduced = 2 * l_s * (sum(Fraction(1, be.a[j]) for j in sorted(s)) - 1)
-    if reduced.denominator != 1:
-        raise AssertionError(f"non-integer reduced index {reduced} for support {sorted(s)}")
+    exponents = [be.a[j] for j in sorted(s)]
+    l_s = math.lcm(*exponents)
+    reduced = 2 * (_lcm_quotient_sum(l_s, exponents) - l_s)
     transverse, extrapolated = _transverse_term(wv, s, d, allow_extrapolation, notes)
     return CZReport(
-        index=int(reduced) + transverse,
+        index=reduced + transverse,
         branch=Branch.NONPRINCIPAL_BRIESKORN,
         extrapolated=extrapolated,
         notes=tuple(notes),

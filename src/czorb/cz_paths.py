@@ -39,12 +39,21 @@ def _positive_duration(T: RationalLike, op: str) -> Fraction:
     return T
 
 
+def scalar_index(num: int, den: int) -> int:
+    """The scalar closed form for the duration T = num/den > 0, in integers.
+
+    With num = q*(2*den) + r, the form is 2*q when r == 0, which happens
+    exactly when T is the even integer 2*q, and 2*q + 1 otherwise, so the
+    pair need not be in lowest terms. No validation: see scalar_cz.
+    """
+    q, r = divmod(num, 2 * den)
+    return 2 * q + (r != 0)
+
+
 def scalar_cz(T: RationalLike) -> int:
     """Index of the unit-rate scalar path on [0, T]."""
     T = _positive_duration(T, "scalar_cz")
-    if T.denominator == 1 and T.numerator % 2 == 0:
-        return T.numerator
-    return 2 * (T.numerator // (2 * T.denominator)) + 1
+    return scalar_index(T.numerator, T.denominator)
 
 
 def crossing_oracle_scalar(T: RationalLike, eval_budget: int = DEFAULT_EVAL_BUDGET) -> int:

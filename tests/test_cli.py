@@ -328,6 +328,55 @@ def test_batch_line_over_the_int_digit_limit_is_malformed(capsys, tmp_path):
     assert recs[1]["status"] == "ok"
 
 
+# Each exponent has 4001 digits, within the input limit, but l = lcm(a) and
+# the principal index have about 12 000.
+LONG_ANSWER_EXPONENTS = [10**4000 + 1, 10**4000 + 3, 10**4000 + 7, 3]
+LONG_ANSWER_ERROR = {
+    "type": "domain",
+    "message": f"result has an integer of more than {sys.get_int_max_str_digits()} digits",
+}
+
+
+def write_long_answer_batch(tmp_path):
+    path = tmp_path / "long.ndjson"
+    long = dumps({"id": "long", "kind": "brieskorn", "exponents": LONG_ANSWER_EXPONENTS})
+    path.write_text(long + "\n" + '{"id":"good","kind":"wps","weights":[1,2]}\n')
+    return path
+
+
+def test_batch_json_refuses_an_answer_too_long_to_print(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, "batch", str(write_long_answer_batch(tmp_path)), "--json")
+    assert code == 2
+    recs = [json.loads(line) for line in out.strip().splitlines()]
+    assert recs[0] == {"id": "long", "kind": "brieskorn", "status": "error", "error": LONG_ANSWER_ERROR}
+    assert (recs[1]["id"], recs[1]["status"], recs[1]["result"]["index"]) == ("good", "ok", 6)
+
+
+def test_batch_human_refuses_an_answer_too_long_to_print(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, "batch", str(write_long_answer_batch(tmp_path)))
+    assert code == 2
+    lines = out.strip().splitlines()
+    assert len(lines) == 2
+    assert lines[0] == "long: error " + dumps(LONG_ANSWER_ERROR)
+    assert lines[1].startswith("good: ok ")
+
+
+def test_argv_json_refuses_an_answer_too_long_to_print(capsys):
+    exponents = ",".join(map(str, LONG_ANSWER_EXPONENTS))
+    code, out, err = run_cli(capsys, "cz", "principal", "--brieskorn", exponents, "--json")
+    assert code == 2
+    assert json.loads(out) == {"error": LONG_ANSWER_ERROR}
+    assert err == f"czorb: {LONG_ANSWER_ERROR['message']}\n"
+
+
+def test_argv_human_refuses_an_answer_too_long_to_print(capsys):
+    exponents = ",".join(map(str, LONG_ANSWER_EXPONENTS))
+    code, out, err = run_cli(capsys, "cz", "principal", "--brieskorn", exponents)
+    assert code == 2
+    assert out == ""
+    assert err == f"czorb: {LONG_ANSWER_ERROR['message']}\n"
+
+
 def test_batch_line_nested_past_the_recursion_limit_is_malformed(capsys, tmp_path):
     # json.loads raises RecursionError, not ValueError, on deep nesting; the
     # record after it must still run.

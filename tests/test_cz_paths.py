@@ -12,6 +12,7 @@ from czorb.cz_paths import (
     crossing_oracle_scalar,
     det_winding,
     scalar_cz,
+    scalar_index,
     unwrapped_winding_phase,
 )
 from czorb.errors import DomainError
@@ -23,6 +24,18 @@ def test_scalar_cz_examples():
     assert scalar_cz(Fraction(7, 2)) == 3
     assert scalar_cz(Fraction(5, 4)) == 1
     assert scalar_cz(5) == 5  # odd integers fall through to the floor branch
+
+
+@pytest.mark.parametrize(
+    "num, den",
+    [(2, 1), (4, 1), (100, 1)]  # even integers
+    + [(1, 1), (3, 1), (101, 1)]  # odd integers
+    + [(1, 3), (3, 2), (199, 100)]  # T < 2
+    + [(2 * k * den + sign, den) for k in (1, 7) for den in (2, 3, 10) for sign in (1, -1)],  # 2k +- 1/den
+)
+@pytest.mark.parametrize("g", [1, 2, 6, 35])
+def test_scalar_index_on_unreduced_pairs_matches_scalar_cz(num, den, g):
+    assert scalar_index(num * g, den * g) == scalar_cz(Fraction(num, den))
 
 
 def test_scalar_cz_rejects_nonpositive():
