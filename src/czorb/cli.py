@@ -21,7 +21,11 @@ above and the positional weights and m: `czorb verify scalar-cz --T 7/2` is
 runs one record per line, and czorb.cli.run(record) one record in Python.
 
 Exit codes: 0 success, 1 usage, 2 domain/validation, 3 uncovered case,
-4 numeric convergence. Rationals are written p/q on input and serialized as
+4 numeric convergence, 6 internal error; 5 is reserved for a failed verify
+check. A batch record whose computation raises an exception that is not a
+czorb error becomes an `internal` error record naming the exception type,
+and the next record runs. A batch run exits with the highest code among its
+records. Rationals are written p/q on input and serialized as
 {"num": p, "den": q} in JSON output; all JSON is emitted with sorted keys and
 compact separators so records round-trip byte for byte.
 """
@@ -32,6 +36,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -56,6 +61,7 @@ from .spaces import WPSpace, make_brieskorn_exponents, make_wci_space
 from .weights import invariants, make_weight_vector, symplectic_area
 
 TEARDROP_TABLE_MAX_DEGREE = 12
+EXIT_INTERNAL = 6
 
 
 class UsageError(Exception):
@@ -499,9 +505,16 @@ def _run_line(lineno: int, line: str) -> tuple[dict, int]:
         if not isinstance(rec, dict):
             raise DomainError(f"line {lineno}: record must be a JSON object")
         rec_id, kind = rec.get("id"), rec.get("kind")
-        return {"id": rec_id, "kind": kind, "status": "ok", "result": run(rec)}, 0
+        result = run(rec)
     except CzorbError as exc:
         return {"id": rec_id, "kind": kind, "status": "error", "error": _error_payload(exc)}, exc.exit_code
+    except Exception as exc:
+        # A fault in czorb, not in the record: report it with its traceback
+        # on stderr and go on with the next record.
+        traceback.print_exception(type(exc), exc, exc.__traceback__, file=sys.stderr)
+        error = {"type": "internal", "message": f"line {lineno}: {type(exc).__name__}: {exc}"}
+        return {"id": rec_id, "kind": kind, "status": "error", "error": error}, EXIT_INTERNAL
+    return {"id": rec_id, "kind": kind, "status": "ok", "result": result}, 0
 
 
 def _batch_text(out: dict, as_json: bool) -> str:

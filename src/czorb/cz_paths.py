@@ -11,9 +11,13 @@ and a path of rate lambda on [0, T] reparametrizes to the unit-rate path on
 - crossing enumeration for the scalar formula: every crossing time is
   visited, so the count does not use the floor formula;
 - determinant winding for loops of diagonal unitaries: the product of one
-  root of unity per rate is formed at every sample and its phase unwrapped.
-  The roots come from one table indexed by an exact integer reduction, but
-  the closed form, the sum of the signed rates, is never computed.
+  root of unity per rate is formed at every sample of [0, 1/2] and its
+  phase unwrapped. For integer rates the loop P(t) is its own conjugate
+  mirror, P(1 - t) = conj(P(t)), so the increments on [1/2, 1] repeat those
+  on [0, 1/2]; likewise the root table computes half of its entries and
+  mirrors the rest. The roots come from one table indexed by an exact
+  integer reduction, but the closed form, the sum of the signed rates, is
+  never computed.
 """
 
 from __future__ import annotations
@@ -112,29 +116,41 @@ def unwrapped_winding_phase(rates, samples: int) -> float:
 
     Samples the product at the points t = k/N, k = 0..N with N = samples.
     Each factor is read from one table of the N-th roots of unity: rate r at
-    sample k is root[(r*k) % N], an exact integer reduction, so the table
-    costs one cos/sin pair per sample whatever the rates. The product is
-    still formed factor by factor at every sample, and its phase is unwrapped
-    from the increments arg(P_k / P_{k-1}); the rates are never added. The
-    increments are added with math.fsum, one block of samples at a time.
-    The caller guarantees the sampling is dense enough that the true step
-    between consecutive samples stays below pi, and gives at least one rate.
+    sample k is root[(r*k) % N], an exact integer reduction. Only the first
+    floor(N/2) + 1 roots cost a cos/sin pair; the rest of the table is their
+    exact conjugate mirror, root[N - m] = conj(root[m]).
+
+    For integer rates the loop reflects onto itself: P(1 - t) = conj(P(t)),
+    so the phase increment arg(P_k / P_{k-1}) at sample N - k + 1 equals the
+    one at sample k. The product is therefore formed, factor by factor, only
+    at the samples k = 0..ceil(N/2) on [0, 1/2]; increments 1..floor(N/2)
+    count twice, and for odd N the middle increment, its own mirror, once.
+    The rates are never added. The increments are added with math.fsum, one
+    block of samples at a time. The caller gives integer rates, at least one,
+    and a sampling dense enough that the true step between consecutive
+    samples stays below pi.
     """
     n = samples
+    half = n // 2
+    last = n - half  # ceil(N/2), the last sample whose product is formed
     angle = 2.0 * math.pi / n
-    roots = list(map(cmath.rect, itertools.repeat(1.0, n), map(angle.__mul__, range(n))))
+    head = list(map(cmath.rect, itertools.repeat(1.0, half + 1), map(angle.__mul__, range(half + 1))))
+    roots = head + [z.conjugate() for z in reversed(head[1:last])]
     block_sums = []
+    middle = 0.0
     prev = roots[0]  # P_0 = 1
-    for k0 in range(1, n + 1, _BLOCK):
-        count = min(_BLOCK, n + 1 - k0)
+    for k0 in range(1, last + 1, _BLOCK):
+        count = min(_BLOCK, last + 1 - k0)
         prod = None
         for r in rates:
             values = _strided(roots, r * k0, r, count) if r else [roots[0]] * count
             prod = values if prod is None else list(map(operator.mul, prod, values))
-        steps = map(operator.truediv, prod, itertools.chain((prev,), prod))
-        block_sums.append(math.fsum(map(cmath.phase, steps)))
+        steps = list(map(cmath.phase, map(operator.truediv, prod, itertools.chain((prev,), prod))))
+        if k0 + count - 1 > half:  # odd N: this block ends at the middle sample
+            middle = steps.pop()
+        block_sums.append(math.fsum(steps))
         prev = prod[-1]
-    return math.fsum(block_sums)
+    return 2.0 * math.fsum(block_sums) + middle
 
 
 def det_winding(
@@ -145,9 +161,12 @@ def det_winding(
 
     The check is independent of the closed form sum(r_j): the kernel,
     `unwrapped_winding_phase`, multiplies one unit complex number per rate at
-    every sample and unwraps the phase of the product, and the winding is the
-    rounded number of turns. The signed sum of the rates is never computed;
-    only sum(|r_j|) enters, as the sample count.
+    every sample of [0, 1/2] and unwraps the phase of the product, and the
+    winding is the rounded number of turns. The signed sum of the rates is
+    never computed; only sum(|r_j|) enters, as the sample count. What the
+    kernel relies on is the reflection P(1 - t) = conj(P(t)), which holds
+    because the rates are integers, as checked here: the increments on
+    [1/2, 1] are those on [0, 1/2], counted a second time.
 
     `samples` defaults to the minimum 4*sum(|r_j|) + 16, which keeps the true
     phase step between samples below pi and makes the unwrap exact up to

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import czorb
+from czorb import cli
 from czorb.cli import FLAG, INT, INTS, NUMBER, OPERATIONS, RATIONAL, REQUIRED, dumps, main, run
 from czorb.errors import CzorbError
 
@@ -215,6 +216,32 @@ def test_batch_continues_after_errors(capsys, tmp_path):
     assert [rec["error"]["type"] for rec in recs[2:5]] == ["domain"] * 3
     assert recs[5]["status"] == "ok"
     assert recs[5]["result"]["index"] == 54
+
+
+def test_batch_reports_an_internal_error_and_runs_the_next_record(capsys, tmp_path, monkeypatch):
+    def boom(m, degree):
+        raise ZeroDivisionError("division by zero")
+
+    teardrop = cli._KINDS["teardrop"]
+    monkeypatch.setitem(cli._KINDS, "teardrop", teardrop._replace(compute=boom))
+    lines = [
+        json.dumps({"id": "boom", "kind": "teardrop", "m": 3}),
+        json.dumps({"id": "good", "kind": "wps", "weights": [4, 4, 5, 14]}),
+    ]
+    path = tmp_path / "internal.ndjson"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, "batch", str(path), "--json")
+    assert code == 6
+    recs = [json.loads(line) for line in out.strip().splitlines()]
+    assert len(recs) == 2
+    assert recs[0]["id"] == "boom"
+    assert recs[0]["status"] == "error"
+    assert recs[0]["error"] == {"type": "internal", "message": "line 1: ZeroDivisionError: division by zero"}
+    assert "ZeroDivisionError" in err
+    assert recs[1]["status"] == "ok"
+    assert recs[1]["result"]["index"] == 54
+    with pytest.raises(ZeroDivisionError):
+        run({"kind": "teardrop", "m": 3})
 
 
 def test_batch_refuses_values_outside_the_float_range(capsys, tmp_path):

@@ -1,4 +1,7 @@
+import cmath
+import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 from czorb import cz_paths
 from czorb.cz_paths import (
     _BLOCK,
+    _strided,
     crossing_oracle_scalar,
     det_winding,
     scalar_cz,
@@ -200,6 +204,79 @@ def test_winding_kernel_matches_the_trig_loop(rates, extra):
     turns = unwrapped_winding_phase(rates, samples) / (2 * math.pi)
     assert round(turns) == round(trig_loop_winding_phase(rates, samples) / (2 * math.pi)) == sum(rates)
     assert abs(turns - round(turns)) < 1e-9
+
+
+def full_loop_winding_phase(rates, samples):
+    """The kernel before the half-loop reflection: the product is formed at
+    every sample k = 1..N from a root table of N cos/sin pairs, and all N
+    increments are added."""
+    n = samples
+    angle = 2.0 * math.pi / n
+    roots = list(map(cmath.rect, itertools.repeat(1.0, n), map(angle.__mul__, range(n))))
+    block_sums = []
+    prev = roots[0]
+    for k0 in range(1, n + 1, _BLOCK):
+        count = min(_BLOCK, n + 1 - k0)
+        prod = None
+        for r in rates:
+            values = _strided(roots, r * k0, r, count) if r else [roots[0]] * count
+            prod = values if prod is None else list(map(operator.mul, prod, values))
+        steps = map(operator.truediv, prod, itertools.chain((prev,), prod))
+        block_sums.append(math.fsum(map(cmath.phase, steps)))
+        prev = prod[-1]
+    return math.fsum(block_sums)
+
+
+def assert_half_loop_matches_the_full_loop(rates, samples):
+    half = unwrapped_winding_phase(rates, samples) / (2 * math.pi)
+    full = full_loop_winding_phase(rates, samples) / (2 * math.pi)
+    assert round(half) == round(full) == sum(rates)
+    assert abs(half - round(half)) < 1e-9
+    assert abs(full - round(full)) < 1e-9
+
+
+@given(
+    st.lists(st.integers(-100, 100), min_size=1, max_size=24),
+    st.integers(0, 3 * _BLOCK),
+)
+@settings(max_examples=60, deadline=None)
+def test_half_loop_kernel_matches_the_full_loop(rates, extra):
+    # Odd and even sample counts, from the unwrap-safe minimum up to three
+    # more blocks.
+    assert_half_loop_matches_the_full_loop(rates, 4 * sum(map(abs, rates)) + 16 + extra)
+
+
+@pytest.mark.parametrize(
+    "rates, samples",
+    [
+        ((4, 4, 5, 14), 4 * 27 + 16 + 1),  # odd N, one above the minimum
+        ((7,), 45),  # a single rate, odd N
+        ((-7,), 44),
+        ((0, 0, 9, 0), 53),  # all rates zero but one
+        ((0, -3, 0), 29),
+    ]
+    # ceil(N/2) at _BLOCK - 1, _BLOCK and _BLOCK + 1, each from an odd and an
+    # even N; N = 2*_BLOCK + 1 leaves the middle increment alone in a block.
+    + [((3, -1, 5), n) for n in range(2 * _BLOCK - 3, 2 * _BLOCK + 3)],
+)
+def test_half_loop_kernel_edge_cases(rates, samples):
+    assert_half_loop_matches_the_full_loop(rates, samples)
+
+
+@pytest.mark.parametrize("samples", [4 * 15 + 16, 4 * 15 + 17, 2 * _BLOCK + 1])
+def test_half_loop_kernel_gathers_half_the_samples(monkeypatch, samples):
+    rates = (3, 0, -5, 7, 0)
+    gathered = []
+
+    def counting_strided(table, start, step, count):
+        values = _strided(table, start, step, count)
+        gathered.append(len(values))
+        return values
+
+    monkeypatch.setattr(cz_paths, "_strided", counting_strided)
+    turns = unwrapped_winding_phase(rates, samples) / (2 * math.pi)
+    assert round(turns) == sum(rates)
+    assert sum(gathered) == 3 * -(-samples // 2)  # nonzero rates x ceil(N/2)
 
 
 @pytest.mark.parametrize(
