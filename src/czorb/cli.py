@@ -21,13 +21,14 @@ above and the positional weights and m: `czorb verify scalar-cz --T 7/2` is
 runs one record per line, and czorb.cli.run(record) one record in Python.
 
 Exit codes: 0 success, 1 usage, 2 domain/validation, 3 uncovered case,
-4 numeric convergence, 6 internal error; 5 is reserved for a failed verify
-check. A batch record whose computation raises an exception that is not a
-czorb error becomes an `internal` error record naming the exception type,
-and the next record runs. A batch run exits with the highest code among its
-records. Rationals are written p/q on input and serialized as
-{"num": p, "den": q} in JSON output; all JSON is emitted with sorted keys and
-compact separators so records round-trip byte for byte.
+4 numeric convergence, 5 failed verify check, 6 internal error. A verify
+result with "ok": false is printed as usual and exits 5; in a batch the
+records after it still run. A batch record whose computation raises an
+exception that is not a czorb error becomes an `internal` error record
+naming the exception type, and the next record runs. A batch run exits with
+the highest code among its records. Rationals are written p/q on input and
+serialized as {"num": p, "den": q} in JSON output; all JSON is emitted with
+sorted keys and compact separators so records round-trip byte for byte.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ from .spaces import WPSpace, make_brieskorn_exponents, make_wci_space
 from .weights import invariants, make_weight_vector, symplectic_area
 
 TEARDROP_TABLE_MAX_DEGREE = 12
+EXIT_CHECK_FAILED = 5
 EXIT_INTERNAL = 6
 
 
@@ -284,6 +286,10 @@ def compute_teardrop(m: int, degree: int | None) -> dict:
 def compute_verify_lemma42(w0: int, w1: int, tol: float) -> dict:
     result = chart_integral(w0, w1, tol, _eval_budget())
     expected = Fraction(-1, w0)
+    # ok is the exact relative check |value + 1/w0| <= tol/w0, in integers:
+    # value = n/d and tol = p/q, so it reads |n*w0 + d| * q <= p * d.
+    n, d = result.value.as_integer_ratio()
+    p, q = tol.as_integer_ratio()
     return {
         "check": "lemma42",
         "w0": w0,
@@ -293,7 +299,7 @@ def compute_verify_lemma42(w0: int, w1: int, tol: float) -> dict:
         "expected": _rational_json(expected),
         "error_estimate": result.estimated_error,
         "evaluations": result.evaluations,
-        "ok": abs(result.value - float(expected)) <= tol,
+        "ok": abs(n * w0 + d) * q <= p * d,
     }
 
 
@@ -514,7 +520,8 @@ def _run_line(lineno: int, line: str) -> tuple[dict, int]:
         traceback.print_exception(type(exc), exc, exc.__traceback__, file=sys.stderr)
         error = {"type": "internal", "message": f"line {lineno}: {type(exc).__name__}: {exc}"}
         return {"id": rec_id, "kind": kind, "status": "error", "error": error}, EXIT_INTERNAL
-    return {"id": rec_id, "kind": kind, "status": "ok", "result": result}, 0
+    code = EXIT_CHECK_FAILED if result.get("ok") is False else 0
+    return {"id": rec_id, "kind": kind, "status": "ok", "result": result}, code
 
 
 def _batch_text(out: dict, as_json: bool) -> str:
@@ -653,7 +660,7 @@ def main(argv=None) -> int:
 
     for line in lines:
         print(line)
-    return 0
+    return EXIT_CHECK_FAILED if payload.get("ok") is False else 0
 
 
 def entry_point() -> None:

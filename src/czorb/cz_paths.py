@@ -171,9 +171,10 @@ def det_winding(
     `samples` defaults to the minimum 4*sum(|r_j|) + 16, which keeps the true
     phase step between samples below pi and makes the unwrap exact up to
     rounding. The pre-rounding residual is reported alongside the integer.
-    A rate too large to convert to float, a sample count below the minimum,
-    and samples * len(rates) over `eval_budget` each raise DomainError
-    before anything is sampled or allocated.
+    A rate too large to convert to float, a sample count that is not an
+    integer or is below the minimum, and samples * len(rates) over
+    `eval_budget` each raise DomainError before anything is sampled or
+    allocated.
     """
     rates = tuple(integer_rates)
     if not rates:
@@ -190,15 +191,17 @@ def det_winding(
     min_samples = 4 * sum(abs(r) for r in rates) + 16
     if samples is None:
         samples = min_samples
+    elif not isinstance(samples, int) or isinstance(samples, bool):
+        raise DomainError(f"det_winding samples must be an integer, got {samples!r}")
     elif samples < min_samples:
         raise DomainError(
             f"samples={samples} is below the unwrap-safe minimum {min_samples} for these rates"
         )
-    work = samples * len(rates)
-    if work > eval_budget:
+    if samples * len(rates) > eval_budget:
+        # The sample count may have too many digits to print.
         raise DomainError(
-            f"det_winding needs {samples} samples x {len(rates)} rates = {work} evaluations, "
-            f"over the evaluation budget {eval_budget}"
+            f"det_winding needs more evaluations ({len(rates)} rates x samples) "
+            f"than the evaluation budget {eval_budget}"
         )
     total = unwrapped_winding_phase(rates, samples)
     turns = total / (2.0 * math.pi)

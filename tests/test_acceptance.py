@@ -125,10 +125,11 @@ def test_criterion_7_winding_bridge():
 
 
 def test_criterion_8_quadrature_and_chain():
-    with criterion(8, "chart quadrature within 1e-8 of -1/w0 (50 pairs, <= 1e6 evals); exact chain to -1/||w||"):
+    with criterion(8, "chart quadrature within 1e-8 of -1/w0 (55 pairs, <= 1e6 evals); exact chain to -1/||w||"):
         rng = random.Random(100801)
-        for _ in range(50):
-            w0, w1 = rng.randint(1, 30), rng.randint(1, 30)
+        pairs = [(rng.randint(1, 30), rng.randint(1, 30)) for _ in range(50)]
+        pairs += [(1, 10**10), (10**6, 1), (3, 10**12), (1, 10**300), (2**1023, 1)]
+        for w0, w1 in pairs:
             result = chart_integral(w0, w1, 1e-8)
             assert abs(result.value - (-1.0 / w0)) <= 1e-8, (w0, w1)
             assert result.evaluations <= 10**6

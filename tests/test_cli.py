@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import czorb
-from czorb import cli
+from czorb import cli, numeric_verify
 from czorb.cli import FLAG, INT, INTS, NUMBER, OPERATIONS, RATIONAL, REQUIRED, dumps, main, run
 from czorb.errors import CzorbError
 
@@ -158,6 +158,30 @@ def test_verify_lemma42(capsys):
     assert abs(payload["value"] + 0.5) <= 1e-8
 
 
+def test_failed_verify_check_exits_5(capsys, tmp_path, monkeypatch):
+    # A kernel that reports convergence on half the true value.
+    monkeypatch.setattr(numeric_verify, "chart_radial", lambda w0, w1, tol, max_evals: (0.25 / w0, 0.0, 63, True))
+    code, payload, _ = run_json(capsys, "verify", "lemma42", "--w0", "2", "--w1", "3")
+    assert code == 5
+    assert payload["ok"] is False
+    code, out, _ = run_cli(capsys, "verify", "lemma42", "--w0", "2", "--w1", "3")
+    assert code == 5
+    assert "ok              no" in out
+    records = [
+        {"id": "wrong", "kind": "verify", "check": "lemma42", "w0": 2, "w1": 3},
+        {"id": "bad", "kind": "wps", "weights": [2, 4]},
+        {"id": "good", "kind": "verify", "check": "winding", "rates": [4, 4, 5, 14]},
+    ]
+    path = tmp_path / "wrong.ndjson"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    code, out, _ = run_cli(capsys, "batch", str(path), "--json")
+    assert code == 5
+    recs = [json.loads(line) for line in out.strip().splitlines()]
+    assert [rec["status"] for rec in recs] == ["ok", "error", "ok"]
+    assert recs[0]["result"]["ok"] is False
+    assert recs[2]["result"]["ok"] is True
+
+
 def test_teardrop_table(capsys):
     code, payload, _ = run_json(capsys, "teardrop", "3")
     assert code == 0
@@ -277,6 +301,23 @@ def test_batch_refuses_winding_over_the_budget(capsys, tmp_path, monkeypatch):
     assert recs[0]["error"]["type"] == "domain"
     assert "budget 1000000" in recs[0]["error"]["message"]
     assert recs[1]["result"]["winding"] == 27
+
+
+def test_batch_refuses_a_winding_budget_too_long_to_print(capsys, tmp_path, monkeypatch):
+    # samples * 11 has 4301 digits, one more than str() prints.
+    monkeypatch.delenv("CZORB_EVAL_BUDGET", raising=False)
+    path = tmp_path / "long.ndjson"
+    path.write_text(
+        '{"id":"long","kind":"verify","check":"winding","rates":[1,1,1,1,1,1,1,1,1,1,1],"samples":9' + "0" * 4299 + "}\n"
+        '{"id":"good","kind":"verify","check":"winding","rates":[4,4,5,14]}\n'
+    )
+    code, out, _ = run_cli(capsys, "batch", str(path), "--json")
+    assert code == 2
+    recs = [json.loads(line) for line in out.strip().splitlines()]
+    assert [rec["status"] for rec in recs] == ["error", "ok"]
+    assert recs[0]["error"]["type"] == "domain"
+    assert "budget 1000000" in recs[0]["error"]["message"]
+    assert len(recs[0]["error"]["message"]) < 200
 
 
 def test_winding_budget_comes_from_the_environment(capsys, monkeypatch):

@@ -279,6 +279,12 @@ def test_half_loop_kernel_gathers_half_the_samples(monkeypatch, samples):
     assert sum(gathered) == 3 * -(-samples // 2)  # nonzero rates x ceil(N/2)
 
 
+@pytest.mark.parametrize("samples", [100.5, 200.0, True, "200"])
+def test_det_winding_refuses_a_sample_count_that_is_not_an_integer(samples):
+    with pytest.raises(DomainError, match="samples must be an integer"):
+        det_winding([1], samples)
+
+
 @pytest.mark.parametrize(
     "rates, samples",
     [

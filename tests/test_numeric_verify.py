@@ -1,9 +1,14 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+from czorb import numeric_verify
+from czorb.cli import compute_verify_lemma42
 from czorb.errors import ConvergenceError, DomainError
 from czorb.numeric_verify import area_chain, chart_integral, chart_radial
 from czorb.weights import make_weight_vector, symplectic_area
@@ -41,10 +46,26 @@ def test_chart_integral_validation():
 
 
 def test_chart_integral_budget_exhaustion():
+    # Level 0 takes 15 evaluations and level 1 another 16, so a budget of 21
+    # leaves level 0 alone, with nothing to compare it with.
     with pytest.raises(ConvergenceError) as excinfo:
         chart_integral(29, 17, 1e-8, eval_budget=21)
-    assert excinfo.value.achieved_error is not None
+    assert math.isfinite(excinfo.value.achieved_error)
     assert excinfo.value.achieved_error > 0
+
+
+def test_chart_radial_never_exceeds_its_budget():
+    for budget in range(16, 4100, 7):
+        value, err, evals, converged = chart_radial(29, 17, 1e-30, budget)
+        assert evals <= budget
+        assert math.isfinite(err) and err > 0
+        assert not converged
+
+
+def test_tolerance_below_double_precision_is_a_convergence_error():
+    with pytest.raises(ConvergenceError) as excinfo:
+        chart_integral(2, 3, 1e-30)
+    assert math.isfinite(excinfo.value.achieved_error)
 
 
 def test_chart_radial_values_are_sane():
@@ -56,7 +77,38 @@ def test_chart_radial_values_are_sane():
 
 def test_chart_radial_golden_value():
     # Exact float equality: any change in the order of the arithmetic fails.
-    assert chart_radial(2, 3, 5e-9, 10**6) == (0.24999999998373737, 1.5091277055341694e-09, 201, True)
+    assert chart_radial(2, 3, 5e-9, 10**6) == (0.25, 1.3174276484543648e-12, 63, True)
+
+
+def test_no_false_verdict_over_log_uniform_pairs_and_extreme_ratios():
+    # A rule that misses the integrand's peak reports a value near 0 on
+    # pairs such as (1, 10**10); the verdict must hold on each pair.
+    rng = random.Random(20001)
+
+    def draw():
+        return round(math.exp(rng.uniform(0.0, math.log(1e12))))
+
+    pairs = [(draw(), draw()) for _ in range(400)]
+    pairs += [(1, 10**10), (10**6, 1), (3, 10**12), (1, 10**300), (2**1023, 1), (2**1023, 2**1023)]
+    for w0, w1 in pairs:
+        for tol in (1e-4, 1e-6, 1e-8, 1e-10, 1e-12):
+            payload = compute_verify_lemma42(w0, w1, tol)
+            assert payload["ok"], (w0, w1, tol)
+            assert abs(Fraction(payload["value"]) + Fraction(1, w0)) <= Fraction(tol) / w0, (w0, w1, tol)
+            assert payload["evaluations"] <= 125
+
+
+def test_node_levels_are_built_on_first_use():
+    # Importing builds no level, and a call builds only the levels it reaches.
+    code = (
+        "import czorb.numeric_verify as nv; f = nv._level; print(f.cache_info().currsize); "
+        "nv.chart_radial(2, 3, 1e-8, 10**6); print(f.cache_info().currsize); "
+        "nv.chart_radial(2, 3, 1e-30, 10**6); print(*(len(f(n)[0]) for n in range(f.cache_info().currsize)))"
+    )
+    src = os.path.dirname(os.path.dirname(numeric_verify.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["0", "3", "15", "16", "32", "62", "126", "252", "504", "1006", "2012"]
 
 
 def test_area_chain_examples():
