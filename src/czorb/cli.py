@@ -286,10 +286,6 @@ def compute_teardrop(m: int, degree: int | None) -> dict:
 def compute_verify_lemma42(w0: int, w1: int, tol: float) -> dict:
     result = chart_integral(w0, w1, tol, _eval_budget())
     expected = Fraction(-1, w0)
-    # ok is the exact relative check |value + 1/w0| <= tol/w0, in integers:
-    # value = n/d and tol = p/q, so it reads |n*w0 + d| * q <= p * d.
-    n, d = result.value.as_integer_ratio()
-    p, q = tol.as_integer_ratio()
     return {
         "check": "lemma42",
         "w0": w0,
@@ -299,7 +295,7 @@ def compute_verify_lemma42(w0: int, w1: int, tol: float) -> dict:
         "expected": _rational_json(expected),
         "error_estimate": result.estimated_error,
         "evaluations": result.evaluations,
-        "ok": abs(n * w0 + d) * q <= p * d,
+        "ok": abs(Fraction(result.value) - expected) <= Fraction(tol) / w0,
     }
 
 
