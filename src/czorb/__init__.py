@@ -6,7 +6,6 @@ from .cz_indices import (
     Branch,
     CZReport,
     OrbitSpec,
-    b_constant,
     mu_orbit_brieskorn,
     mu_orbit_wps,
     mu_principal,
@@ -26,7 +25,6 @@ from .errors import (
     NonCoprimeError,
     UncoveredCaseError,
 )
-from .exact_arith import Factorization, factorize, ord_p
 from .numeric_verify import QuadratureResult, area_chain, chart_integral
 from .orbifold_topology import (
     AbelianGroupDescriptor,
@@ -40,6 +38,7 @@ from .spaces import (
     TheoremCheck,
     WCISpace,
     WPSpace,
+    b_constant,
     brieskorn_to_wci,
     check_theorem_hypotheses,
     compute_l2,
@@ -64,7 +63,6 @@ __all__ = [
     "ConvergenceError",
     "CzorbError",
     "DomainError",
-    "Factorization",
     "NonCoprimeError",
     "OrbitSpec",
     "QuadratureResult",
@@ -83,7 +81,6 @@ __all__ = [
     "compute_l2",
     "crossing_oracle_scalar",
     "det_winding",
-    "factorize",
     "invariants",
     "make_brieskorn_exponents",
     "make_wci_space",
@@ -93,7 +90,6 @@ __all__ = [
     "mu_principal",
     "mu_principal_brieskorn",
     "orbit_spec",
-    "ord_p",
     "p_star_factor",
     "scalar_cz",
     "symplectic_area",

@@ -2,23 +2,23 @@
 projective spaces, complete intersections, and Brieskorn orbifolds, and
 non-principal orbits via stratum reduction.
 
-A principal orbit has index 2*b, where b is the proportionality constant
-between the orbifold first Chern class and the symplectic class: b = |w| for
-a weighted projective space and |w| - sum(m_j) for a complete intersection of
-multidegree (m_1, ..., m_r).
+Every index is built from two primitives: spaces.b_constant, the constant
+b of c1^orb = b*[omega], since a principal orbit has index 2*b; and
+cz_paths.scalar_index, the closed form of the scalar path. A non-principal
+orbit supported on a coordinate set S, with isotropy order d = gcd of the
+supported weights, reduces to the principal orbit over its stratum P(w_S/d),
+of degree degree/d (degree 0 for a weighted projective space, l for a
+Brieskorn orbifold), plus one scalar path of duration w_k/d per transverse
+coordinate k:
 
-For a non-principal orbit supported on a coordinate set S with isotropy order
-d_S = gcd of the supported weights, the reduction formula is
-
-    (2/d_S) * sum_{j in S} w_j  +  sum_{k not in S} (2*floor(w_k/(2*d_S)) + 1),
+    2*(sum_{j in S} w_j/d - degree/d)  +  sum_{k not in S} scalar_index(w_k, d),
 
 valid when the stratum is positive-dimensional and no transverse ratio
-w_k/d_S is an even integer. Outside those conditions the computation refuses
-by default; extrapolation is opt-in and labeled on the report.
-
-Every term is an integer and is computed in integers: a transverse term from
-divmod(w_k, 2*d_S), and the Brieskorn form 2*l*(sum(1/a_j) - 1), with l the
-lcm of the exponents, as 2*(sum(l/a_j) - l).
+w_k/d is an even integer. Outside those conditions the computation refuses
+by default; extrapolation is opt-in and labeled on the report. The one
+exception is a single coordinate of a two-weight space P(m, n), whose closed
+form is the scalar index of duration (m+n)/m. Every term is an integer and
+is computed in integers.
 """
 
 from __future__ import annotations
@@ -26,16 +26,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Union
+from typing import Iterable
 
 # scalar_cz is not called here; the benchmark tracer patches
 # czorb.cz_indices.scalar_cz, and every patch point must resolve.
 from .cz_paths import scalar_cz, scalar_index  # noqa: F401
 from .errors import DomainError, UncoveredCaseError
-from .spaces import BrieskornExponents, WCISpace, WPSpace, brieskorn_to_wci
+from .spaces import BrieskornExponents, Space, WCISpace, WPSpace, b_constant, brieskorn_to_wci
 from .weights import WeightVector, make_weight_vector
-
-Space = Union[WPSpace, WCISpace]
 
 
 class Branch(str, Enum):
@@ -94,18 +92,10 @@ def orbit_spec(wv: WeightVector, support: Iterable[int]) -> OrbitSpec:
     return OrbitSpec(s, math.gcd(*(wv[j] for j in s)))
 
 
-def b_constant(space: Space) -> int:
-    """Chern-class proportionality constant; may be non-positive for
-    high-multidegree complete intersections and is returned as-is."""
-    if isinstance(space, WPSpace):
-        return sum(space.weights.w)
-    if isinstance(space, WCISpace):
-        return sum(space.weights.w) - sum(space.degrees)
-    raise DomainError(f"expected a WPSpace or WCISpace, got {type(space).__name__}")
-
-
 def mu_principal(space: Space) -> CZReport:
     """Index of the principal orbit: twice the proportionality constant."""
+    if not isinstance(space, (WPSpace, WCISpace)):
+        raise DomainError(f"expected a WPSpace or WCISpace, got {type(space).__name__}")
     b = b_constant(space)
     branch = Branch.PRINCIPAL_WPS if isinstance(space, WPSpace) else Branch.PRINCIPAL_WCI
     notes = ()
@@ -114,40 +104,36 @@ def mu_principal(space: Space) -> CZReport:
     return CZReport(index=2 * b, branch=branch, b_constant=b, notes=notes)
 
 
-def _lcm_quotient_sum(l: int, exponents) -> int:
-    """sum(l/a_j) over the exponents, each of which divides l."""
-    total = 0
-    for aj in exponents:
-        q, r = divmod(l, aj)
-        if r:
-            raise AssertionError(f"non-integer index: {aj} does not divide {l} for exponents {tuple(exponents)}")
-        total += q
-    return total
+def _trivial_isotropy(space: WPSpace | BrieskornExponents, branch: Branch, full_support: bool) -> CZReport:
+    """A support with isotropy 1 carries the principal orbit: index 2*b."""
+    b = b_constant(space)
+    notes = () if full_support else ("support has trivial isotropy, so the orbit is principal",)
+    return CZReport(index=2 * b, branch=branch, b_constant=b, notes=notes)
 
 
 def mu_principal_brieskorn(be: BrieskornExponents) -> CZReport:
     """Principal-orbit index of a Brieskorn orbifold: 2*l*(sum(1/a_j) - 1),
-    evaluated in integers as 2*(sum(l/a_j) - l) with l = lcm(a)."""
-    index = 2 * (_lcm_quotient_sum(be.l, be.a) - be.l)
-    return CZReport(index=index, branch=Branch.PRINCIPAL_BRIESKORN, b_constant=index // 2)
+    twice b_constant(be) = sum(l/a_j) - l."""
+    return _trivial_isotropy(be, Branch.PRINCIPAL_BRIESKORN, full_support=True)
 
 
-def _transverse_term(
-    wv: WeightVector, s: frozenset[int], d: int, allow_extrapolation: bool, notes: list
+def _reduced_index(
+    wv: WeightVector, s: frozenset[int], d: int, degree: int, allow_extrapolation: bool, notes: list
 ) -> tuple[int, bool]:
-    """Index contribution of the coordinates outside the support s, over
-    isotropy order d, and whether any was extrapolated: coordinate k adds the
-    scalar index of duration w_k/d, visited in ascending k, from the integer
-    pair (w_k, d).
+    """Index of the orbit on the support s with isotropy d > 1, and whether
+    any term was extrapolated: the stratum P(w_S/d), of degree degree/d, adds
+    2*(sum_{j in S} w_j/d - degree/d), and each coordinate k outside s adds
+    the scalar index of duration w_k/d, visited in ascending k.
 
     The even-integer duration is a closed transverse loop, which no covered
     case adjudicates; it is refused unless extrapolation was requested.
     """
-    total = 0
+    total = -2 * (degree // d)
     extrapolated = False
     period = 2 * d
     for k, wk in enumerate(wv.w):
         if k in s:
+            total += 2 * (wk // d)
             continue
         total += scalar_index(wk, d)
         if wk % period == 0:
@@ -175,8 +161,9 @@ def mu_orbit_wps(
 
     Trivial isotropy reduces to the principal formula. A single supported
     coordinate in a two-weight space uses the closed form
-    2*floor((m+n)/(2m))+1. Everything else goes through stratum reduction,
-    refusing the uncovered corners unless allow_extrapolation is set.
+    2*floor((m+n)/(2m))+1, the scalar index of duration (m+n)/m. Everything
+    else goes through stratum reduction, refusing the uncovered corners
+    unless allow_extrapolation is set.
     """
     if not isinstance(wv, WeightVector):
         wv = make_weight_vector(wv)
@@ -185,10 +172,7 @@ def mu_orbit_wps(
     notes: list[str] = []
 
     if d == 1:
-        b = sum(wv.w)
-        if len(s) < len(wv):
-            notes.append("support has trivial isotropy, so the orbit is principal")
-        return CZReport(index=2 * b, branch=Branch.PRINCIPAL_WPS, b_constant=b, notes=tuple(notes))
+        return _trivial_isotropy(WPSpace(wv), Branch.PRINCIPAL_WPS, len(s) == len(wv))
 
     if len(wv) == 2 and len(s) == 1:
         (j,) = s
@@ -197,11 +181,8 @@ def mu_orbit_wps(
             "two-weight closed form used; it disagrees with the general reduction formula "
             "for some (m, n), and the closed form takes precedence"
         )
-        return CZReport(
-            index=2 * ((m + n) // (2 * m)) + 1,
-            branch=Branch.TWO_WEIGHT_SPECIAL,
-            notes=tuple(notes),
-        )
+        # m = d >= 2 and gcd(m, n) = 1, so 2m never divides m + n: the odd scalar branch.
+        return CZReport(index=scalar_index(m + n, m), branch=Branch.TWO_WEIGHT_SPECIAL, notes=tuple(notes))
 
     extrapolated = False
     if len(s) == 1:
@@ -217,13 +198,8 @@ def mu_orbit_wps(
         )
         extrapolated = True
 
-    transverse, extra = _transverse_term(wv, s, d, allow_extrapolation, notes)
-    return CZReport(
-        index=2 * sum(wv[j] // d for j in sorted(s)) + transverse,
-        branch=Branch.NONPRINCIPAL_WPS,
-        extrapolated=extrapolated or extra,
-        notes=tuple(notes),
-    )
+    index, extra = _reduced_index(wv, s, d, 0, allow_extrapolation, notes)
+    return CZReport(index, Branch.NONPRINCIPAL_WPS, extrapolated or extra, notes=tuple(notes))
 
 
 def mu_orbit_brieskorn(
@@ -235,13 +211,14 @@ def mu_orbit_brieskorn(
     coordinates.
 
     The restricted form must keep at least 3 variables so that the reduced
-    principal formula applies to the stratum; its contribution is
-    2*l_S*(sum_{j in S} 1/a_j - 1) with l_S the lcm of the supported
-    exponents, evaluated in integers as 2*(sum_{j in S} l_S/a_j - l_S), and
-    transverse coordinates contribute scalar terms as in the projective case.
+    principal formula applies to the stratum. Over the weights w_j = l/a_j
+    and isotropy d, the stratum is the degree-l/d hypersurface in P(w_S/d),
+    whose principal index 2*(sum_{j in S} w_j/d - l/d) is the in-stratum
+    term; transverse coordinates contribute scalar terms as in the projective
+    case. Since d = l/l_S, with l_S the lcm of the supported exponents, the
+    in-stratum term equals 2*l_S*(sum_{j in S} 1/a_j - 1); no lcm is taken.
     """
-    wci = brieskorn_to_wci(be)
-    wv = wci.weights
+    wv = brieskorn_to_wci(be).weights
     spec = orbit_spec(wv, support)
     s, d = spec.support, spec.isotropy
 
@@ -252,24 +229,8 @@ def mu_orbit_brieskorn(
         )
 
     if d == 1:
-        b = sum(wv.w) - be.l
-        notes = ()
-        if len(s) < len(wv):
-            notes = ("support has trivial isotropy, so the orbit is principal",)
-        return CZReport(
-            index=2 * b, branch=Branch.PRINCIPAL_BRIESKORN, b_constant=b, notes=notes
-        )
+        return _trivial_isotropy(be, Branch.PRINCIPAL_BRIESKORN, len(s) == len(wv))
 
-    notes = [
-        f"isotropy order taken as the gcd of the ambient weights over the support ({d})"
-    ]
-    exponents = [be.a[j] for j in sorted(s)]
-    l_s = math.lcm(*exponents)
-    reduced = 2 * (_lcm_quotient_sum(l_s, exponents) - l_s)
-    transverse, extrapolated = _transverse_term(wv, s, d, allow_extrapolation, notes)
-    return CZReport(
-        index=reduced + transverse,
-        branch=Branch.NONPRINCIPAL_BRIESKORN,
-        extrapolated=extrapolated,
-        notes=tuple(notes),
-    )
+    notes = [f"isotropy order taken as the gcd of the ambient weights over the support ({d})"]
+    index, extrapolated = _reduced_index(wv, s, d, be.l, allow_extrapolation, notes)
+    return CZReport(index, Branch.NONPRINCIPAL_BRIESKORN, extrapolated, notes=tuple(notes))

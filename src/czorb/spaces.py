@@ -56,12 +56,17 @@ class BrieskornExponents:
     l2: int
 
 
+Space = Union[WPSpace, WCISpace]
+
+
 def make_wci_space(weights: Iterable[int], degrees: Iterable[int]) -> WCISpace:
     wv = weights if isinstance(weights, WeightVector) else make_weight_vector(weights)
     degs = tuple(degrees)
     if not degs:
         raise DomainError("a complete intersection needs at least one degree")
     for m in degs:
+        if not isinstance(m, int) or isinstance(m, bool):
+            raise DomainError(f"degrees must be integers, got {m!r}")
         if m < 1:
             raise DomainError(f"degrees must be positive, got {m}")
     r, n = len(degs), wv.n
@@ -101,6 +106,8 @@ def make_brieskorn_exponents(a: Iterable[int]) -> BrieskornExponents:
     if len(a) < 4:
         raise DomainError(f"a Brieskorn exponent vector needs at least 4 entries, got {len(a)}")
     for x in a:
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise DomainError(f"Brieskorn exponents must be integers, got {x!r}")
         if x < 2:
             raise DomainError(f"Brieskorn exponents must be >= 2, got {x}")
     return BrieskornExponents(a, math.lcm(*a), compute_l2(a))
@@ -118,6 +125,23 @@ def brieskorn_to_wci(b: BrieskornExponents) -> WCISpace:
     return make_wci_space(wv, (b.l,))
 
 
+def b_constant(space: Space | BrieskornExponents) -> int:
+    """The proportionality constant b of c1^orb = b*[omega]: |w| for a
+    weighted projective space, |w| - sum(m_j) for a complete intersection,
+    and sum(l/a_j) - l for a Brieskorn orbifold, the degree-l hypersurface
+    with weights l/a_j. It may be non-positive and is returned as-is."""
+    if isinstance(space, WPSpace):
+        return sum(space.weights.w)
+    if isinstance(space, WCISpace):
+        return sum(space.weights.w) - sum(space.degrees)
+    if isinstance(space, BrieskornExponents):
+        quotients, remainders = zip(*(divmod(space.l, aj) for aj in space.a))
+        if any(remainders):
+            raise AssertionError(f"non-integer index: l={space.l} is not a multiple of every exponent of {space.a}")
+        return sum(quotients) - space.l
+    raise DomainError(f"expected a WPSpace, WCISpace or BrieskornExponents, got {type(space).__name__}")
+
+
 @dataclass(frozen=True)
 class TheoremCheck:
     """Hypothesis report for the fiberwise index theorem: the proportionality
@@ -130,16 +154,14 @@ class TheoremCheck:
     manifold_condition: str = "assumed, not checked"
 
 
-def check_theorem_hypotheses(space: Union[WPSpace, WCISpace]) -> TheoremCheck:
-    from .cz_indices import b_constant  # local import to avoid a module cycle
-
-    b = b_constant(space)
+def check_theorem_hypotheses(space: Space) -> TheoremCheck:
     if isinstance(space, WPSpace):
         reason = "weighted projective spaces are simply connected as orbifolds"
-    else:
-        n = space.weights.n
+    elif isinstance(space, WCISpace):
         reason = (
-            f"codimension r={space.r} <= n-2={n - 2} keeps complex dimension >= 2, "
+            f"codimension r={space.r} <= n-2={space.weights.n - 2} keeps complex dimension >= 2, "
             "so the link is simply connected"
         )
-    return TheoremCheck(b=b, simply_connected=True, simply_connected_reason=reason)
+    else:
+        raise DomainError(f"expected a WPSpace or WCISpace, got {type(space).__name__}")
+    return TheoremCheck(b=b_constant(space), simply_connected=True, simply_connected_reason=reason)

@@ -331,6 +331,24 @@ def test_winding_budget_comes_from_the_environment(capsys, monkeypatch):
     assert payload["winding"] == 27
 
 
+def test_batch_refuses_a_budget_that_is_not_an_integer(capsys, tmp_path, monkeypatch):
+    # The budget is read per verify record: a domain error, and the next record runs.
+    monkeypatch.setenv("CZORB_EVAL_BUDGET", "abc")
+    records = [
+        {"id": "bad-budget", "kind": "verify", "check": "winding", "rates": [4, 4, 5, 14]},
+        {"id": "good", "kind": "wps", "weights": [4, 4, 5, 14]},
+    ]
+    path = tmp_path / "budget.ndjson"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    code, out, _ = run_cli(capsys, "batch", str(path), "--json")
+    assert code == 2
+    recs = [json.loads(line) for line in out.strip().splitlines()]
+    assert [rec["status"] for rec in recs] == ["error", "ok"]
+    assert recs[0]["error"]["type"] == "domain"
+    assert recs[0]["error"]["message"] == "CZORB_EVAL_BUDGET must be an integer, got 'abc'"
+    assert recs[1]["result"]["index"] == 54
+
+
 def test_batch_refuses_crossings_over_the_budget(capsys, tmp_path, monkeypatch):
     # 5e99 crossings: refused before the first is visited, and the next record runs.
     monkeypatch.delenv("CZORB_EVAL_BUDGET", raising=False)

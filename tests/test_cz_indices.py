@@ -13,7 +13,7 @@ from czorb.cz_indices import (
     mu_principal_brieskorn,
     orbit_spec,
 )
-from czorb.cz_paths import det_winding, scalar_cz
+from czorb.cz_paths import crossing_oracle_scalar, det_winding, scalar_cz
 from czorb.errors import DomainError, UncoveredCaseError
 from czorb.spaces import WPSpace, brieskorn_to_wci, make_brieskorn_exponents, make_wci_space
 from czorb.weights import make_weight_vector
@@ -27,6 +27,18 @@ def test_b_constant_examples():
     assert b_constant(wps(4, 4, 5, 14)) == 27
     assert b_constant(make_wci_space([5, 5, 5, 2], [10])) == 7
     assert b_constant(wps(1, 1, 1)) == 3
+    assert b_constant(make_brieskorn_exponents([2, 2, 2, 5])) == 7
+    assert b_constant(make_brieskorn_exponents([4, 4, 4, 4])) == 0
+
+
+def test_b_constant_refuses_other_types():
+    with pytest.raises(DomainError, match="got object"):
+        b_constant(object())
+
+
+def test_mu_principal_refuses_brieskorn_exponents():
+    with pytest.raises(DomainError, match="got BrieskornExponents"):
+        mu_principal(make_brieskorn_exponents([2, 2, 2, 5]))
 
 
 def test_mu_principal_examples():
@@ -74,6 +86,24 @@ def test_mu_orbit_wps_two_weight_special():
     assert report.index == 5
     assert report.branch == Branch.TWO_WEIGHT_SPECIAL
     assert report.notes  # records the closed-form-vs-reduction tension
+
+
+def test_mu_orbit_wps_two_weight_exhaustive():
+    # every coprime (m, n) with 2 <= m < 60, 1 <= n < 60, in both coordinate
+    # orders: the closed form and the crossing oracle of duration (m+n)/m
+    checked = 0
+    for m in range(2, 60):
+        for n in range(1, 60):
+            if math.gcd(m, n) != 1:
+                continue
+            expected = 2 * ((m + n) // (2 * m)) + 1
+            assert crossing_oracle_scalar(Fraction(m + n, m)) == expected
+            for weights, support in (([m, n], [0]), ([n, m], [1])):
+                report = mu_orbit_wps(weights, support)
+                assert report.branch == Branch.TWO_WEIGHT_SPECIAL
+                assert report.index == expected, (weights, support)
+            checked += 1
+    assert checked > 2000
 
 
 def test_mu_orbit_wps_full_support_is_principal():

@@ -104,6 +104,18 @@ def test_make_brieskorn_exponents():
         make_brieskorn_exponents([1, 2, 2, 2])  # exponent 1 is a coordinate change
 
 
+@pytest.mark.parametrize("bad", [2.5, True, "3"])
+def test_make_brieskorn_exponents_refuses_non_integers(bad):
+    with pytest.raises(DomainError, match=f"Brieskorn exponents must be integers, got {bad!r}"):
+        make_brieskorn_exponents([bad, 3, 4, 5])
+
+
+@pytest.mark.parametrize("bad", [2.5, True, 1.0])
+def test_make_wci_space_refuses_non_integer_degrees(bad):
+    with pytest.raises(DomainError, match=f"degrees must be integers, got {bad!r}"):
+        make_wci_space([1, 1, 1, 1], [bad])
+
+
 def test_brieskorn_to_wci_examples():
     wci = brieskorn_to_wci(make_brieskorn_exponents([2, 2, 2, 5]))
     assert wci.weights.w == (5, 5, 5, 2)
@@ -140,6 +152,11 @@ def test_check_theorem_hypotheses_wci():
     report = check_theorem_hypotheses(make_wci_space([5, 5, 5, 2], [10]))
     assert report.b == 7
     assert report.simply_connected is True
+
+
+def test_check_theorem_hypotheses_refuses_other_types():
+    with pytest.raises(DomainError, match="got BrieskornExponents"):
+        check_theorem_hypotheses(make_brieskorn_exponents([2, 2, 2, 5]))
 
 
 def random_exponents(rng: random.Random) -> list[int]:
