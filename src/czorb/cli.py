@@ -50,7 +50,7 @@ from .cz_indices import (
     mu_principal_brieskorn,
 )
 from .cz_paths import crossing_oracle_scalar, det_winding, scalar_cz
-from .errors import ConvergenceError, CzorbError, DomainError, NonCoprimeError
+from .errors import ConvergenceError, CzorbError, DomainError, NonCoprimeError, is_int, to_float
 from .numeric_verify import DEFAULT_EVAL_BUDGET, chart_integral
 from .orbifold_topology import (
     p_star_factor,
@@ -123,18 +123,14 @@ def _rational_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"expected a rational p/q or an integer, got {text!r}")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _check_int(name: str, value) -> int:
-    if not _is_int(value):
+    if not is_int(value):
         raise DomainError(f"batch field {name!r} must be an integer, got {value!r}")
     return value
 
 
 def _check_int_list(name: str, value) -> list[int]:
-    if not isinstance(value, list) or not all(map(_is_int, value)):
+    if not isinstance(value, list) or not all(map(is_int, value)):
         raise DomainError(f"batch field {name!r} must be a list of integers, got {value!r}")
     return value
 
@@ -148,10 +144,10 @@ def _check_bool(name: str, value) -> bool:
 def _check_rational(name: str, value) -> Fraction:
     if isinstance(value, dict):
         parts = (value.get("num"), value.get("den"))
-        usable = all(map(_is_int, parts))
+        usable = all(map(is_int, parts))
     else:
         parts = (value,)
-        usable = isinstance(value, (str, Fraction)) or _is_int(value)
+        usable = isinstance(value, (str, Fraction)) or is_int(value)
     if usable:
         try:
             return Fraction(*parts)
@@ -161,12 +157,9 @@ def _check_rational(name: str, value) -> Fraction:
 
 
 def _check_number(name: str, value) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    if not (is_int(value) or isinstance(value, float)):
         raise DomainError(f"batch field {name!r} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise DomainError(f"batch field {name!r} of {value.bit_length()} bits is outside the float range") from None
+    return to_float(f"batch field {name!r}", value)
 
 
 class FieldType(NamedTuple):

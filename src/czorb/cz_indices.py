@@ -31,7 +31,7 @@ from typing import Iterable
 # scalar_cz is not called here; the benchmark tracer patches
 # czorb.cz_indices.scalar_cz, and every patch point must resolve.
 from .cz_paths import scalar_cz, scalar_index  # noqa: F401
-from .errors import DomainError, UncoveredCaseError
+from .errors import DomainError, UncoveredCaseError, is_int
 from .spaces import BrieskornExponents, Space, WCISpace, WPSpace, b_constant, brieskorn_to_wci
 from .weights import WeightVector, make_weight_vector
 
@@ -87,7 +87,7 @@ def orbit_spec(wv: WeightVector, support: Iterable[int]) -> OrbitSpec:
     if not s:
         raise DomainError("orbit support must be nonempty")
     for j in s:
-        if not isinstance(j, int) or isinstance(j, bool) or not 0 <= j < len(wv):
+        if not is_int(j) or not 0 <= j < len(wv):
             raise DomainError(f"support index {j!r} out of range 0..{len(wv) - 1}")
     return OrbitSpec(s, math.gcd(*(wv[j] for j in s)))
 
@@ -165,8 +165,7 @@ def mu_orbit_wps(
     else goes through stratum reduction, refusing the uncovered corners
     unless allow_extrapolation is set.
     """
-    if not isinstance(wv, WeightVector):
-        wv = make_weight_vector(wv)
+    wv = make_weight_vector(wv)
     spec = orbit_spec(wv, support)
     s, d = spec.support, spec.isotropy
     notes: list[str] = []

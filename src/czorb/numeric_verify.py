@@ -33,7 +33,7 @@ from itertools import repeat
 from operator import truediv
 from typing import Iterable
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, is_int, to_float
 from .weights import WeightVector, make_weight_vector, symplectic_area
 
 DEFAULT_EVAL_BUDGET = 10**6
@@ -78,8 +78,10 @@ def chart_radial(w0: int, w1: int, tol: float, max_evals: int):
     it. The result has converged at level l >= 2 when
     |T_l - T_(l-1)| <= tol * |T_l|, with that difference floored at a few
     ulps of |T_l| as the error estimate (T_(-1) = 0, so the estimate is
-    |T_0| while only level 0 exists). A level is formed only if its nodes
-    fit in `max_evals`, and the rule stops after level 8 (4025 evaluations).
+    |T_0| while only level 0 exists); scaled back, it is raised to the
+    smallest positive float, still an upper bound, where it would underflow.
+    A level is formed only if its nodes fit in `max_evals`, and the rule
+    stops after level 8 (4025 evaluations).
 
     Returns (value, error_estimate, evaluations, converged).
     """
@@ -100,7 +102,7 @@ def chart_radial(w0: int, w1: int, tol: float, max_evals: int):
             converged = True
             break
     scale = alpha / w0
-    return scale * trapezoid, scale * err, evals, converged
+    return scale * trapezoid, max(scale * err, math.ulp(0.0)), evals, converged
 
 
 @dataclass(frozen=True)
@@ -119,15 +121,10 @@ def chart_integral(w0: int, w1: int, tol: float, eval_budget: int = DEFAULT_EVAL
     ConvergenceError (carrying the achieved error estimate) if the rule's
     levels or the evaluation budget run out first.
     """
-    if w0 < 1 or w1 < 1:
+    if not (is_int(w0) and is_int(w1)) or w0 < 1 or w1 < 1:
         raise DomainError(f"chart_integral requires positive integer weights, got ({w0}, {w1})")
     for w in (w0, w1):
-        try:
-            float(w)
-        except OverflowError:
-            raise DomainError(
-                f"chart_integral weight of {w.bit_length()} bits is outside the float range"
-            ) from None
+        to_float("chart_integral weight", w)
     if not 0 < tol <= 1e-4:
         raise DomainError(f"tol must be in (0, 1e-4], got {tol}")
     if eval_budget < 16:
@@ -153,8 +150,7 @@ def area_chain(full_w: WeightVector | Iterable[int]) -> Fraction:
     -1/||w||. Every factor is an exact rational; the quadrature enters only
     as a cross-check of the first link.
     """
-    if not isinstance(full_w, WeightVector):
-        full_w = make_weight_vector(full_w)
+    full_w = make_weight_vector(full_w)
     w0, w1 = full_w[0], full_w[1]
     g = math.gcd(w0, w1)
     chart_value = Fraction(-1, w0)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, is_int
 
 
 @dataclass(frozen=True)
@@ -33,61 +33,50 @@ class AbelianGroupDescriptor:
         return f"Z_{self.order}"
 
 
-TRIVIAL_GROUP = AbelianGroupDescriptor("trivial")
+_Z = AbelianGroupDescriptor("free", rank=1)
+_ZERO = AbelianGroupDescriptor("trivial")
 
 
-def free_group(rank: int) -> AbelianGroupDescriptor:
-    if rank < 1:
-        raise DomainError(f"free rank must be >= 1, got {rank}")
-    return AbelianGroupDescriptor("free", rank=rank)
-
-
-def cyclic_group(order: int) -> AbelianGroupDescriptor:
-    if order < 2:
-        raise DomainError(f"cyclic order must be >= 2, got {order}")
-    return AbelianGroupDescriptor("cyclic", order=order)
-
-
-def _check_teardrop_args(m: int, q: int) -> None:
+def _teardrop_group(m: int, q: int, torsion_parity: int) -> AbelianGroupDescriptor:
+    """Z in degrees 0 and 2, Z_m in the degrees q > 2 with q % 2 ==
+    torsion_parity, and 0 otherwise."""
+    if not (is_int(m) and is_int(q)):
+        raise DomainError(f"the teardrop needs an integer cone order and degree, got ({m!r}, {q!r})")
     if m < 2:
         raise DomainError(f"the teardrop needs a cone order m >= 2, got {m} (m=1 is the smooth sphere)")
     if q < 0:
         raise DomainError(f"degree must be >= 0, got {q}")
+    if q in (0, 2):
+        return _Z
+    if q > 2 and q % 2 == torsion_parity:
+        return AbelianGroupDescriptor("cyclic", order=m)
+    return _ZERO
 
 
 def teardrop_homology(m: int, q: int) -> AbelianGroupDescriptor:
     """Orbifold homology of the order-m teardrop in degree q."""
-    _check_teardrop_args(m, q)
-    if q in (0, 2):
-        return free_group(1)
-    if q > 1 and q % 2 == 1:
-        return cyclic_group(m)
-    return TRIVIAL_GROUP
+    return _teardrop_group(m, q, 1)
 
 
 def teardrop_cohomology(m: int, q: int) -> AbelianGroupDescriptor:
     """Orbifold cohomology of the order-m teardrop in degree q."""
-    _check_teardrop_args(m, q)
-    if q in (0, 2):
-        return free_group(1)
-    if q > 2 and q % 2 == 0:
-        return cyclic_group(m)
-    return TRIVIAL_GROUP
+    return _teardrop_group(m, q, 0)
 
 
 def teardrop_orbifold_chern(m: int) -> Fraction:
-    """Orbifold Chern number of the order-m teardrop: 2 - (1 - 1/m) = 1 + 1/m.
+    """Orbifold Chern number of the order-m teardrop: 2 - (1 - 1/m) = 1 + 1/m,
+    one more than p_star_factor(m).
 
     m = 1 is accepted as the smooth-sphere limit (value 2).
     """
-    if m < 1:
-        raise DomainError(f"cone order must be >= 1, got {m}")
-    return 1 + Fraction(1, m)
+    return 1 + p_star_factor(m)
 
 
 def p_star_factor(m: int) -> Fraction:
     """Multiplier of the classifying-space projection on degree-2 rational
     homology: 1/m."""
+    if not is_int(m):
+        raise DomainError(f"cone order must be an integer, got {m!r}")
     if m < 1:
         raise DomainError(f"cone order must be >= 1, got {m}")
     return Fraction(1, m)

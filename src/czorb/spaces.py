@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .errors import DomainError
+from .errors import DomainError, check_ints
 # Unused here; perfbench's trace points still name czorb.spaces.factorize and ord_p.
 from .exact_arith import factorize, ord_p  # noqa: F401
 from .weights import WeightVector, make_weight_vector
@@ -60,15 +60,10 @@ Space = Union[WPSpace, WCISpace]
 
 
 def make_wci_space(weights: Iterable[int], degrees: Iterable[int]) -> WCISpace:
-    wv = weights if isinstance(weights, WeightVector) else make_weight_vector(weights)
-    degs = tuple(degrees)
+    wv = make_weight_vector(weights)
+    degs = check_ints("degrees", degrees, 1)
     if not degs:
         raise DomainError("a complete intersection needs at least one degree")
-    for m in degs:
-        if not isinstance(m, int) or isinstance(m, bool):
-            raise DomainError(f"degrees must be integers, got {m!r}")
-        if m < 1:
-            raise DomainError(f"degrees must be positive, got {m}")
     r, n = len(degs), wv.n
     if r > n - 2:
         raise DomainError(
@@ -88,12 +83,9 @@ def compute_l2(a: Iterable[int]) -> int:
     positions, so no term exceeds the second-largest valuation; the later of
     the two positions holding the largest two attains it.
     """
-    a = tuple(a)
+    a = check_ints("compute_l2 entries", a, 2)
     if not a:
         raise DomainError("compute_l2 requires a nonempty list")
-    for x in a:
-        if x < 2:
-            raise DomainError(f"compute_l2 requires entries >= 2, got {x}")
     l = l2 = 1
     for x in a:
         l, l2 = math.lcm(l, x), math.lcm(l2, math.gcd(x, l))
@@ -105,11 +97,7 @@ def make_brieskorn_exponents(a: Iterable[int]) -> BrieskornExponents:
     a = tuple(a)
     if len(a) < 4:
         raise DomainError(f"a Brieskorn exponent vector needs at least 4 entries, got {len(a)}")
-    for x in a:
-        if not isinstance(x, int) or isinstance(x, bool):
-            raise DomainError(f"Brieskorn exponents must be integers, got {x!r}")
-        if x < 2:
-            raise DomainError(f"Brieskorn exponents must be >= 2, got {x}")
+    check_ints("Brieskorn exponents", a, 2)
     return BrieskornExponents(a, math.lcm(*a), compute_l2(a))
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import DomainError, NonCoprimeError
+from .errors import DomainError, NonCoprimeError, check_ints
 
 
 @dataclass(frozen=True)
@@ -58,19 +58,17 @@ class WeightInvariants:
 
 
 def make_weight_vector(raw: Iterable[int]) -> WeightVector:
-    """Validate and freeze a weight vector.
+    """Validate and freeze a weight vector; a WeightVector is returned as is.
 
     Raises DomainError for lengths < 2 or non-positive entries, and
     NonCoprimeError (carrying the gcd) when the entries share a factor.
     """
+    if isinstance(raw, WeightVector):
+        return raw
     w = tuple(raw)
     if len(w) < 2:
         raise DomainError(f"a weight vector needs at least 2 entries, got {len(w)}")
-    for x in w:
-        if not isinstance(x, int) or isinstance(x, bool):
-            raise DomainError(f"weights must be integers, got {x!r}")
-        if x <= 0:
-            raise DomainError(f"weights must be positive, got {x}")
+    check_ints("weights", w, 1)
     g = math.gcd(*w)
     if g != 1:
         raise NonCoprimeError(g, w)

@@ -45,6 +45,21 @@ def test_chart_integral_validation():
         chart_integral(10**400, 3, 1e-8)  # outside the float range
 
 
+@pytest.mark.parametrize("w0", [1.5, True])
+def test_chart_integral_refuses_non_integer_weights(w0):
+    with pytest.raises(DomainError, match="requires positive integer weights"):
+        chart_integral(w0, 2, 1e-8)
+
+
+def test_error_estimate_does_not_underflow_near_the_top_of_the_float_range():
+    # The value is about 1e-308, so its relative error scales below the
+    # smallest positive float; the estimate stays an upper bound above 0.
+    with pytest.raises(ConvergenceError) as excinfo:
+        chart_integral(10**308, 1, 1e-30)
+    assert excinfo.value.achieved_error > 0
+    assert "0.000e+00" not in str(excinfo.value)
+
+
 def test_chart_integral_budget_exhaustion():
     # Level 0 takes 15 evaluations and level 1 another 16, so a budget of 21
     # leaves level 0 alone, with nothing to compare it with.

@@ -2,28 +2,32 @@ from fractions import Fraction
 
 import pytest
 
+from czorb.cz_indices import mu_principal
 from czorb.errors import DomainError
 from czorb.orbifold_topology import (
-    TRIVIAL_GROUP,
-    cyclic_group,
-    free_group,
+    AbelianGroupDescriptor,
     p_star_factor,
     teardrop_cohomology,
     teardrop_homology,
     teardrop_orbifold_chern,
 )
+from czorb.spaces import WPSpace, b_constant
+from czorb.weights import make_weight_vector, symplectic_area
+
+Z = AbelianGroupDescriptor("free", rank=1)
+ZERO = AbelianGroupDescriptor("trivial")
 
 
 def test_homology_examples():
-    assert teardrop_homology(3, 2) == free_group(1)
-    assert teardrop_homology(3, 5) == cyclic_group(3)
-    assert teardrop_homology(3, 4) == TRIVIAL_GROUP
+    assert teardrop_homology(3, 2) == Z
+    assert teardrop_homology(3, 5) == AbelianGroupDescriptor("cyclic", order=3)
+    assert teardrop_homology(3, 4) == ZERO
 
 
 def test_cohomology_examples():
-    assert teardrop_cohomology(5, 4) == cyclic_group(5)
-    assert teardrop_cohomology(5, 3) == TRIVIAL_GROUP
-    assert teardrop_cohomology(5, 0) == free_group(1)
+    assert teardrop_cohomology(5, 4) == AbelianGroupDescriptor("cyclic", order=5)
+    assert teardrop_cohomology(5, 3) == ZERO
+    assert teardrop_cohomology(5, 0) == Z
 
 
 def test_table_rejects_smooth_sphere_and_negative_degree():
@@ -36,10 +40,24 @@ def test_table_rejects_smooth_sphere_and_negative_degree():
 
 
 def test_group_descriptor_rendering():
-    assert str(TRIVIAL_GROUP) == "0"
-    assert str(free_group(1)) == "Z"
-    assert str(free_group(2)) == "Z^2"
-    assert str(cyclic_group(7)) == "Z_7"
+    assert str(ZERO) == "0"
+    assert str(Z) == "Z"
+    assert str(AbelianGroupDescriptor("free", rank=2)) == "Z^2"
+    assert str(AbelianGroupDescriptor("cyclic", order=7)) == "Z_7"
+
+
+@pytest.mark.parametrize(
+    "call, args",
+    [
+        (teardrop_homology, (2.5, 3)),
+        (teardrop_cohomology, (3, 1.0)),
+        (teardrop_orbifold_chern, (2.5,)),
+        (p_star_factor, (True,)),
+    ],
+)
+def test_teardrop_refuses_non_integers(call, args):
+    with pytest.raises(DomainError, match="integer"):
+        call(*args)
 
 
 def test_full_tables():
@@ -86,3 +104,13 @@ def test_p_star_examples():
     assert p_star_factor(9) == Fraction(1, 9)
     with pytest.raises(DomainError):
         p_star_factor(0)
+
+
+def test_teardrop_is_the_weighted_projective_line():
+    # The order-m teardrop is P(1, m): c1^orb = b*[omega], and the principal
+    # orbit's index 2*b equals 2*m*c1^orb; b, [omega] and the index come
+    # from the weights (1, m) alone.
+    for m in range(1, 41):
+        wv = make_weight_vector([1, m])
+        assert teardrop_orbifold_chern(m) == b_constant(WPSpace(wv)) * -symplectic_area(wv)
+        assert mu_principal(WPSpace(wv)).index == 2 * m * teardrop_orbifold_chern(m)

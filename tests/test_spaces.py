@@ -41,6 +41,12 @@ def test_compute_l2_rejects_bad_input():
         compute_l2([1, 2, 3])
 
 
+@pytest.mark.parametrize("bad", [2.5, True])
+def test_compute_l2_refuses_non_integers(bad):
+    with pytest.raises(DomainError, match=f"compute_l2 entries must be integers, got {bad!r}"):
+        compute_l2([bad, 3])
+
+
 def brute_force_l2(a) -> int:
     """Second-largest p-adic valuation per prime of lcm(a), by trial and
     repeated division, with no helper from czorb."""

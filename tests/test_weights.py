@@ -53,6 +53,11 @@ def test_make_weight_vector_rejects_bad_input():
         make_weight_vector([-1, 2])
 
 
+def test_make_weight_vector_returns_a_weight_vector_unchanged():
+    wv = make_weight_vector([4, 4, 5, 14])
+    assert make_weight_vector(wv) is wv
+
+
 def test_invariants_worked_example():
     inv = invariants(make_weight_vector([4, 4, 5, 14]))
     assert inv.sum == 27
