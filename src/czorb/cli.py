@@ -37,9 +37,8 @@ import argparse
 import json
 import os
 import sys
-import traceback
+from collections import namedtuple
 from fractions import Fraction
-from typing import Callable, NamedTuple
 
 from .cz_indices import (
     BRANCH_FORMULAS,
@@ -50,7 +49,7 @@ from .cz_indices import (
     mu_principal_brieskorn,
 )
 from .cz_paths import crossing_oracle_scalar, det_winding, scalar_cz
-from .errors import ConvergenceError, CzorbError, DomainError, NonCoprimeError, is_int, to_float
+from .errors import ConvergenceError, CzorbError, DomainError, NonCoprimeError, check_int, is_int, to_float
 from .numeric_verify import DEFAULT_EVAL_BUDGET, chart_integral
 from .orbifold_topology import (
     p_star_factor,
@@ -124,9 +123,7 @@ def _rational_arg(text: str) -> Fraction:
 
 
 def _check_int(name: str, value) -> int:
-    if not is_int(value):
-        raise DomainError(f"batch field {name!r} must be an integer, got {value!r}")
-    return value
+    return check_int(f"batch field {name!r}", value)
 
 
 def _check_int_list(name: str, value) -> list[int]:
@@ -157,14 +154,14 @@ def _check_rational(name: str, value) -> Fraction:
 
 
 def _check_number(name: str, value) -> float:
-    if not (is_int(value) or isinstance(value, float)):
-        raise DomainError(f"batch field {name!r} must be a number, got {value!r}")
     return to_float(f"batch field {name!r}", value)
 
 
-class FieldType(NamedTuple):
-    add_argument: dict  # its keyword arguments to ArgumentParser.add_argument
-    check: Callable  # (field name, record value) -> value, or DomainError
+class FieldType(namedtuple("FieldType", "add_argument check")):
+    """`add_argument`: its keyword arguments to ArgumentParser.add_argument;
+    `check`: (field name, record value) -> value, or DomainError."""
+
+    __slots__ = ()
 
 
 INTS = FieldType({"type": _csv_ints}, _check_int_list)
@@ -176,12 +173,12 @@ NUMBER = FieldType({"type": float}, _check_number)
 REQUIRED = object()
 
 
-class Field(NamedTuple):
-    name: str
-    type: FieldType
-    default: object = REQUIRED
-    argv: str = ""  # argv spelling when it is not `--` and the name with `-` for `_`
-    help: str | None = None
+class Field(namedtuple("Field", "name type default argv help", defaults=(REQUIRED, "", None))):
+    """A field of a batch record: its name, FieldType and default; `argv`,
+    its argv spelling when it is not `--` and the name with `-` for `_`; and
+    its argv help text."""
+
+    __slots__ = ()
 
     @property
     def spelling(self) -> str:
@@ -371,13 +368,13 @@ def _render_verify(payload: dict) -> list[str]:
 # ---------------------------------------------------------------------------
 # the operation table
 
-class Operation(NamedTuple):
-    kind: str
-    check: str | None  # the `check` of a verify record
-    command: str  # argv command path
-    compute: Callable[..., dict]
-    render: Callable[[dict], list[str]]
-    fields: tuple[Field, ...]  # checked in this order; argv lists the required ones first
+class Operation(namedtuple("Operation", "kind check command compute render fields")):
+    """One batch record kind: `kind`, and `check` for a verify record (else
+    None); `command`, its argv command path; `compute`, called with the
+    fields by name, returns the payload that `render` turns into lines; and
+    `fields`, checked in this order (argv lists the required ones first)."""
+
+    __slots__ = ()
 
 
 _WPS = Field("weights", INTS, argv="--wps", help="weighted projective space weights")
@@ -505,7 +502,11 @@ def _run_line(lineno: int, line: str) -> tuple[dict, int]:
         return {"id": rec_id, "kind": kind, "status": "error", "error": _error_payload(exc)}, exc.exit_code
     except Exception as exc:
         # A fault in czorb, not in the record: report it with its traceback
-        # on stderr and go on with the next record.
+        # on stderr and go on with the next record. Imported here: only this
+        # branch needs traceback, which would add linecache and tokenize to
+        # every import of czorb.cli.
+        import traceback
+
         traceback.print_exception(type(exc), exc, exc.__traceback__, file=sys.stderr)
         error = {"type": "internal", "message": f"line {lineno}: {type(exc).__name__}: {exc}"}
         return {"id": rec_id, "kind": kind, "status": "error", "error": error}, EXIT_INTERNAL

@@ -24,14 +24,14 @@ is computed in integers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable
 from enum import Enum
-from typing import Iterable
 
 # scalar_cz is not called here; the benchmark tracer patches
 # czorb.cz_indices.scalar_cz, and every patch point must resolve.
 from .cz_paths import scalar_cz, scalar_index  # noqa: F401
-from .errors import DomainError, UncoveredCaseError, is_int
+from .errors import DomainError, UncoveredCaseError, check_ints
+from .record import Record
 from .spaces import BrieskornExponents, Space, WCISpace, WPSpace, b_constant, brieskorn_to_wci
 from .weights import WeightVector, make_weight_vector
 
@@ -62,32 +62,39 @@ BRANCH_FORMULAS = {
 }
 
 
-@dataclass(frozen=True)
-class OrbitSpec:
+class OrbitSpec(Record):
     """A Reeb orbit stratum: the set of nonzero coordinates and its isotropy
     order (always recomputed as the gcd of the supported weights)."""
 
-    support: frozenset[int]
-    isotropy: int
+    __slots__ = ("support", "isotropy")
+
+    def __init__(self, support: frozenset[int], isotropy: int):
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "isotropy", isotropy)
 
 
-@dataclass(frozen=True)
-class CZReport:
-    index: int
-    branch: Branch
-    extrapolated: bool = False
-    b_constant: int | None = None
-    notes: tuple[str, ...] = ()
+class CZReport(Record):
+    __slots__ = ("index", "branch", "extrapolated", "b_constant", "notes")
+
+    def __init__(
+        self, index: int, branch: Branch, extrapolated: bool = False,
+        b_constant: int | None = None, notes: tuple[str, ...] = (),
+    ):
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "branch", branch)
+        object.__setattr__(self, "extrapolated", extrapolated)
+        object.__setattr__(self, "b_constant", b_constant)
+        object.__setattr__(self, "notes", notes)
 
 
 def orbit_spec(wv: WeightVector, support: Iterable[int]) -> OrbitSpec:
     """Validate an orbit support set against a weight vector and compute its
     isotropy order."""
-    s = frozenset(support)
+    s = frozenset(check_ints("support", support))
     if not s:
         raise DomainError("orbit support must be nonempty")
     for j in s:
-        if not is_int(j) or not 0 <= j < len(wv):
+        if not 0 <= j < len(wv):
             raise DomainError(f"support index {j!r} out of range 0..{len(wv) - 1}")
     return OrbitSpec(s, math.gcd(*(wv[j] for j in s)))
 

@@ -26,17 +26,19 @@ import cmath
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable, Union
 
-from .errors import ConvergenceError, DomainError, check_ints, is_int, to_float
+from .errors import ConvergenceError, DomainError, check_int, check_ints, is_int, to_float
 from .numeric_verify import DEFAULT_EVAL_BUDGET
+from .record import Record
 
-RationalLike = Union[Fraction, int]
+RationalLike = Fraction | int
 
 
 def _positive_duration(T: RationalLike, op: str) -> Fraction:
+    if not (is_int(T) or isinstance(T, Fraction)):
+        raise DomainError(f"{op} requires a duration that is an integer or a Fraction, got {T!r}")
     T = Fraction(T)
     if T <= 0:
         raise DomainError(f"{op} requires a positive duration, got {T}")
@@ -74,7 +76,7 @@ def crossing_oracle_scalar(T: RationalLike, eval_budget: int = DEFAULT_EVAL_BUDG
     T = _positive_duration(T, "crossing_oracle_scalar")
     num, den = T.numerator, T.denominator
     step = 2 * den
-    if num // step + 1 > eval_budget:
+    if num // step + 1 > check_int("evaluation budget", eval_budget):
         # The count may have too many digits to print.
         raise DomainError(f"crossing_oracle_scalar needs more crossings than the evaluation budget {eval_budget}")
     index = 0
@@ -88,11 +90,13 @@ def crossing_oracle_scalar(T: RationalLike, eval_budget: int = DEFAULT_EVAL_BUDG
     return index
 
 
-@dataclass(frozen=True)
-class WindingResult:
-    winding: int
-    residual: float
-    samples: int
+class WindingResult(Record):
+    __slots__ = ("winding", "residual", "samples")
+
+    def __init__(self, winding: int, residual: float, samples: int):
+        object.__setattr__(self, "winding", winding)
+        object.__setattr__(self, "residual", residual)
+        object.__setattr__(self, "samples", samples)
 
 
 # Samples per block: the root table is the only list of the sample count's size.
@@ -171,10 +175,10 @@ def det_winding(
     `samples` defaults to the minimum 4*sum(|r_j|) + 16, which keeps the true
     phase step between samples below pi and makes the unwrap exact up to
     rounding. The pre-rounding residual is reported alongside the integer.
-    A rate too large to convert to float, a sample count that is not an
-    integer or is below the minimum, and samples * len(rates) over
-    `eval_budget` each raise DomainError before anything is sampled or
-    allocated.
+    A rate too large to convert to float, a sample count or budget that is
+    not an integer, a sample count below the minimum, and
+    samples * len(rates) over `eval_budget` each raise DomainError before
+    anything is sampled or allocated.
     """
     rates = check_ints("det_winding rates", integer_rates)
     if not rates:
@@ -184,13 +188,11 @@ def det_winding(
     min_samples = 4 * sum(abs(r) for r in rates) + 16
     if samples is None:
         samples = min_samples
-    elif not is_int(samples):
-        raise DomainError(f"det_winding samples must be an integer, got {samples!r}")
-    elif samples < min_samples:
+    elif check_int("det_winding samples", samples) < min_samples:
         raise DomainError(
             f"samples={samples} is below the unwrap-safe minimum {min_samples} for these rates"
         )
-    if samples * len(rates) > eval_budget:
+    if samples * len(rates) > check_int("evaluation budget", eval_budget):
         # The sample count may have too many digits to print.
         raise DomainError(
             f"det_winding needs more evaluations ({len(rates)} rates x samples) "

@@ -1,5 +1,6 @@
 """Exception hierarchy shared by all czorb modules, and the input rules
-that every entry point checks with: is_int, check_ints and to_float.
+that every entry point checks with: is_int, check_int, as_tuple, check_ints
+and to_float.
 
 Each class maps to one CLI exit code, so library errors translate to
 process status without string matching.
@@ -53,11 +54,28 @@ def is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def check_int(what: str, x) -> int:
+    """x, or DomainError unless it is an integer (see is_int)."""
+    if not is_int(x):
+        raise DomainError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
+def as_tuple(what: str, values) -> tuple:
+    """The entries of `values` as a tuple, or DomainError when `values` is
+    not iterable."""
+    try:
+        iter(values)
+    except TypeError:
+        raise DomainError(f"{what} must be a list of integers, not {type(values).__name__}") from None
+    return tuple(values)
+
+
 def check_ints(what: str, values, minimum: int | None = None) -> tuple[int, ...]:
-    """The entries of `values` as a tuple, each an integer (see is_int) and,
-    when `minimum` is given, at least `minimum`; checked entry by entry, so
-    the first bad entry names the refusal."""
-    values = tuple(values)
+    """The entries of `values` as a tuple (see as_tuple), each an integer
+    (see is_int) and, when `minimum` is given, at least `minimum`; checked
+    entry by entry, so the first bad entry names the refusal."""
+    values = as_tuple(what, values)
     for x in values:
         # is_int, written out: a call per entry makes 2000 weights ~25% slower.
         if not isinstance(x, int) or isinstance(x, bool):
@@ -69,7 +87,10 @@ def check_ints(what: str, values, minimum: int | None = None) -> tuple[int, ...]
 
 
 def to_float(what: str, x) -> float:
-    """float(x), or DomainError for an integer outside the float range."""
+    """float(x) for an integer (see is_int) or a float; DomainError for any
+    other value and for an integer outside the float range."""
+    if not (isinstance(x, float) or is_int(x)):
+        raise DomainError(f"{what} must be a number, got {x!r}")
     try:
         return float(x)
     except OverflowError:

@@ -7,16 +7,17 @@ which keeps gcd(|num|, den) = 1 and den >= 1 by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DomainError
+from .record import Record
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(Record):
     """Prime factorization as (prime, exponent) pairs, ascending by prime."""
 
-    pairs: tuple[tuple[int, int], ...]
+    __slots__ = ("pairs",)
+
+    def __init__(self, pairs: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "pairs", pairs)
 
     def value(self) -> int:
         """Reconstruct the factored integer."""

@@ -27,13 +27,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable
 from fractions import Fraction
 from itertools import repeat
 from operator import truediv
-from typing import Iterable
 
-from .errors import ConvergenceError, DomainError, is_int, to_float
+from .errors import ConvergenceError, DomainError, check_int, is_int, to_float
+from .record import Record
 from .weights import WeightVector, make_weight_vector, symplectic_area
 
 DEFAULT_EVAL_BUDGET = 10**6
@@ -105,11 +105,13 @@ def chart_radial(w0: int, w1: int, tol: float, max_evals: int):
     return scale * trapezoid, max(scale * err, math.ulp(0.0)), evals, converged
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
-    value: float
-    estimated_error: float
-    evaluations: int
+class QuadratureResult(Record):
+    __slots__ = ("value", "estimated_error", "evaluations")
+
+    def __init__(self, value: float, estimated_error: float, evaluations: int):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "estimated_error", estimated_error)
+        object.__setattr__(self, "evaluations", evaluations)
 
 
 def chart_integral(w0: int, w1: int, tol: float, eval_budget: int = DEFAULT_EVAL_BUDGET) -> QuadratureResult:
@@ -117,7 +119,8 @@ def chart_integral(w0: int, w1: int, tol: float, eval_budget: int = DEFAULT_EVAL
     quadrature has converged when its error estimate is at most tol times
     the value, 1/w0 in magnitude.
 
-    Raises DomainError for a weight too large to convert to float, and
+    Raises DomainError for a weight too large to convert to float, a `tol`
+    that is not a number and a budget that is not an integer, and
     ConvergenceError (carrying the achieved error estimate) if the rule's
     levels or the evaluation budget run out first.
     """
@@ -125,9 +128,9 @@ def chart_integral(w0: int, w1: int, tol: float, eval_budget: int = DEFAULT_EVAL
         raise DomainError(f"chart_integral requires positive integer weights, got ({w0}, {w1})")
     for w in (w0, w1):
         to_float("chart_integral weight", w)
-    if not 0 < tol <= 1e-4:
+    if not 0 < to_float("tol", tol) <= 1e-4:
         raise DomainError(f"tol must be in (0, 1e-4], got {tol}")
-    if eval_budget < 16:
+    if check_int("evaluation budget", eval_budget) < 16:
         raise DomainError(f"evaluation budget too small: {eval_budget}")
     # The final value is -2 * (radial integral), with the same relative error.
     radial, err, evals, converged = chart_radial(w0, w1, tol, eval_budget)

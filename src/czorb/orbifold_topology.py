@@ -10,20 +10,22 @@ matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, is_int
+from .errors import DomainError, check_int, is_int
+from .record import Record
 
 
-@dataclass(frozen=True)
-class AbelianGroupDescriptor:
+class AbelianGroupDescriptor(Record):
     """One of: the trivial group, a free group Z^rank, or a cyclic group
     Z_order."""
 
-    kind: str  # "trivial" | "free" | "cyclic"
-    rank: int = 0
-    order: int = 0
+    __slots__ = ("kind", "rank", "order")
+
+    def __init__(self, kind: str, rank: int = 0, order: int = 0):
+        object.__setattr__(self, "kind", kind)  # "trivial" | "free" | "cyclic"
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "order", order)
 
     def __str__(self) -> str:
         if self.kind == "trivial":
@@ -75,8 +77,6 @@ def teardrop_orbifold_chern(m: int) -> Fraction:
 def p_star_factor(m: int) -> Fraction:
     """Multiplier of the classifying-space projection on degree-2 rational
     homology: 1/m."""
-    if not is_int(m):
-        raise DomainError(f"cone order must be an integer, got {m!r}")
-    if m < 1:
+    if check_int("cone order", m) < 1:
         raise DomainError(f"cone order must be >= 1, got {m}")
     return Fraction(1, m)

@@ -11,52 +11,58 @@ multiplicity, so a tied maximum keeps the maximum).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Union
+from collections.abc import Iterable
 
-from .errors import DomainError, check_ints
+from .errors import DomainError, as_tuple, check_ints
 # Unused here; perfbench's trace points still name czorb.spaces.factorize and ord_p.
 from .exact_arith import factorize, ord_p  # noqa: F401
+from .record import Record
 from .weights import WeightVector, make_weight_vector
 
 
-@dataclass(frozen=True)
-class WPSpace:
+class WPSpace(Record):
     """Weighted projective space with the locally-free circle quotient
     orbifold structure."""
 
-    weights: WeightVector
+    __slots__ = ("weights",)
+
+    def __init__(self, weights: WeightVector):
+        object.__setattr__(self, "weights", weights)
 
 
-@dataclass(frozen=True)
-class WCISpace:
+class WCISpace(Record):
     """Quasi-smooth weighted complete intersection of multidegree
     (m_1, ..., m_r); quasi-smoothness is asserted by the caller, not checked.
 
     Construct through make_wci_space.
     """
 
-    weights: WeightVector
-    degrees: tuple[int, ...]
+    __slots__ = ("weights", "degrees")
+
+    def __init__(self, weights: WeightVector, degrees: tuple[int, ...]):
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "degrees", degrees)
 
     @property
     def r(self) -> int:
         return len(self.degrees)
 
 
-@dataclass(frozen=True)
-class BrieskornExponents:
+class BrieskornExponents(Record):
     """Exponent vector of a Brieskorn form, with derived l = lcm(a_j) and l2.
 
     Construct through make_brieskorn_exponents.
     """
 
-    a: tuple[int, ...]
-    l: int
-    l2: int
+    __slots__ = ("a", "l", "l2")
+
+    def __init__(self, a: tuple[int, ...], l: int, l2: int):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "l2", l2)
 
 
-Space = Union[WPSpace, WCISpace]
+Space = WPSpace | WCISpace
 
 
 def make_wci_space(weights: Iterable[int], degrees: Iterable[int]) -> WCISpace:
@@ -94,7 +100,7 @@ def compute_l2(a: Iterable[int]) -> int:
 
 def make_brieskorn_exponents(a: Iterable[int]) -> BrieskornExponents:
     """Validate a Brieskorn exponent vector (at least 4 entries, all >= 2)."""
-    a = tuple(a)
+    a = as_tuple("Brieskorn exponents", a)
     if len(a) < 4:
         raise DomainError(f"a Brieskorn exponent vector needs at least 4 entries, got {len(a)}")
     check_ints("Brieskorn exponents", a, 2)
@@ -130,16 +136,21 @@ def b_constant(space: Space | BrieskornExponents) -> int:
     raise DomainError(f"expected a WPSpace, WCISpace or BrieskornExponents, got {type(space).__name__}")
 
 
-@dataclass(frozen=True)
-class TheoremCheck:
+class TheoremCheck(Record):
     """Hypothesis report for the fiberwise index theorem: the proportionality
     constant b, simple connectivity, and the total-space manifold condition
     (recorded, not decidable from weights and degrees alone)."""
 
-    b: int
-    simply_connected: bool
-    simply_connected_reason: str
-    manifold_condition: str = "assumed, not checked"
+    __slots__ = ("b", "simply_connected", "simply_connected_reason", "manifold_condition")
+
+    def __init__(
+        self, b: int, simply_connected: bool, simply_connected_reason: str,
+        manifold_condition: str = "assumed, not checked",
+    ):
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "simply_connected", simply_connected)
+        object.__setattr__(self, "simply_connected_reason", simply_connected_reason)
+        object.__setattr__(self, "manifold_condition", manifold_condition)
 
 
 def check_theorem_hypotheses(space: Space) -> TheoremCheck:

@@ -18,18 +18,20 @@ element: d_0 = w_1, d_1 = w_0, e_0 = d_1, e_1 = d_0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
-from .errors import DomainError, NonCoprimeError, check_ints
+from .errors import DomainError, NonCoprimeError, as_tuple, check_ints
+from .record import Record
 
 
-@dataclass(frozen=True)
-class WeightVector:
+class WeightVector(Record):
     """Validated weight vector; construct through make_weight_vector."""
 
-    w: tuple[int, ...]
+    __slots__ = ("w",)
+
+    def __init__(self, w: tuple[int, ...]):
+        object.__setattr__(self, "w", w)
 
     @property
     def n(self) -> int:
@@ -46,26 +48,32 @@ class WeightVector:
         return self.w[j]
 
 
-@dataclass(frozen=True)
-class WeightInvariants:
-    sum: int
-    product: int
-    d: tuple[int, ...]
-    e: tuple[int, ...]
-    a_w: int
-    reduced: WeightVector
-    well_formed: bool
+class WeightInvariants(Record):
+    __slots__ = ("sum", "product", "d", "e", "a_w", "reduced", "well_formed")
+
+    def __init__(
+        self, sum: int, product: int, d: tuple[int, ...], e: tuple[int, ...],
+        a_w: int, reduced: WeightVector, well_formed: bool,
+    ):
+        object.__setattr__(self, "sum", sum)
+        object.__setattr__(self, "product", product)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "a_w", a_w)
+        object.__setattr__(self, "reduced", reduced)
+        object.__setattr__(self, "well_formed", well_formed)
 
 
 def make_weight_vector(raw: Iterable[int]) -> WeightVector:
     """Validate and freeze a weight vector; a WeightVector is returned as is.
 
-    Raises DomainError for lengths < 2 or non-positive entries, and
-    NonCoprimeError (carrying the gcd) when the entries share a factor.
+    Raises DomainError for an argument that is not iterable, lengths < 2 or
+    non-positive entries, and NonCoprimeError (carrying the gcd) when the
+    entries share a factor.
     """
     if isinstance(raw, WeightVector):
         return raw
-    w = tuple(raw)
+    w = as_tuple("weights", raw)
     if len(w) < 2:
         raise DomainError(f"a weight vector needs at least 2 entries, got {len(w)}")
     check_ints("weights", w, 1)

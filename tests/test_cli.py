@@ -534,6 +534,24 @@ def test_import_czorb_leaves_the_cli_out():
     assert out.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("module", ["czorb.cli", "czorb"])
+def test_import_adds_no_module_that_only_introspection_or_an_error_path_needs(module):
+    # -S: a site that preloads typing would hide it. The baseline is what
+    # the CLI needs from the standard library anyway.
+    probe = (
+        "import sys\n"
+        "import argparse, json, fractions, cmath, collections.abc\n"
+        "baseline = set(sys.modules)\n"
+        f"import {module}\n"
+        "print([m for m in ('dataclasses', 'inspect', 'typing', 'traceback') if m in set(sys.modules) - baseline])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=_child_env(), timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
 # Values each field is drawn from, as (argv text, record value). The ranges
 # keep every oracle call small and give both answers and refusals; a
 # positional list starts with no "-", which argparse would read as an option.

@@ -72,6 +72,18 @@ def test_orbit_spec_recomputes_isotropy():
         orbit_spec(wv, [])
     with pytest.raises(DomainError):
         orbit_spec(wv, [4])
+    with pytest.raises(DomainError, match=r"support index 4 out of range 0\.\.3"):
+        orbit_spec(wv, [0, 4])
+
+
+def test_mu_orbit_wps_refuses_an_unhashable_support_entry():
+    with pytest.raises(DomainError, match=r"support must be integers, got \[1\]"):
+        mu_orbit_wps([4, 4, 5, 14], [[1]])
+
+
+def test_mu_orbit_wps_refuses_a_support_that_is_not_a_list():
+    with pytest.raises(DomainError, match="support must be a list of integers, not int"):
+        mu_orbit_wps([4, 4, 5, 14], 1)
 
 
 def test_mu_orbit_wps_worked_example():

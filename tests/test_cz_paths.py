@@ -49,6 +49,13 @@ def test_scalar_cz_rejects_nonpositive():
         scalar_cz(Fraction(-3, 2))
 
 
+@pytest.mark.parametrize("T", ["x", True, 2.5, None])
+def test_scalar_cz_refuses_a_duration_that_is_not_an_int_or_fraction(T):
+    # A bool is not an integer: scalar_cz(True) must not answer 1.
+    with pytest.raises(DomainError, match="requires a duration that is an integer or a Fraction"):
+        scalar_cz(T)
+
+
 def test_crossing_oracle_examples():
     assert crossing_oracle_scalar(4) == 4  # crossings at 0, 2, 4
     assert crossing_oracle_scalar(3) == 3  # crossings at 0, 2
@@ -64,6 +71,12 @@ def test_crossing_oracle_refuses_counts_over_the_budget():
         crossing_oracle_scalar(2000, eval_budget=1000)
     with pytest.raises(DomainError, match=f"budget {DEFAULT_EVAL_BUDGET}"):
         crossing_oracle_scalar(Fraction(10**100))
+
+
+@pytest.mark.parametrize("T, eval_budget", [("x", 10), (3, "x"), (3, None), (3, True)])
+def test_crossing_oracle_refuses_a_duration_or_budget_of_the_wrong_type(T, eval_budget):
+    with pytest.raises(DomainError):
+        crossing_oracle_scalar(T, eval_budget)
 
 
 def test_crossing_oracle_agrees_with_closed_form():
@@ -283,6 +296,17 @@ def test_half_loop_kernel_gathers_half_the_samples(monkeypatch, samples):
 def test_det_winding_refuses_a_sample_count_that_is_not_an_integer(samples):
     with pytest.raises(DomainError, match="samples must be an integer"):
         det_winding([1], samples)
+
+
+@pytest.mark.parametrize("eval_budget", [None, "x", 1.5e6])
+def test_det_winding_refuses_a_budget_that_is_not_an_integer(eval_budget):
+    with pytest.raises(DomainError, match="evaluation budget must be an integer"):
+        det_winding([1], None, eval_budget)
+
+
+def test_det_winding_refuses_rates_that_are_not_a_list():
+    with pytest.raises(DomainError, match="det_winding rates must be a list of integers, not int"):
+        det_winding(5)
 
 
 @pytest.mark.parametrize(

@@ -45,6 +45,18 @@ def test_chart_integral_validation():
         chart_integral(10**400, 3, 1e-8)  # outside the float range
 
 
+@pytest.mark.parametrize("tol", ["x", None, Fraction(1, 10**9)])
+def test_chart_integral_refuses_a_tol_that_is_not_a_number(tol):
+    with pytest.raises(DomainError, match="tol must be a number"):
+        chart_integral(2, 3, tol)
+
+
+@pytest.mark.parametrize("eval_budget", ["x", None, 1e6, True])
+def test_chart_integral_refuses_a_budget_that_is_not_an_integer(eval_budget):
+    with pytest.raises(DomainError, match="evaluation budget must be an integer"):
+        chart_integral(2, 3, 1e-8, eval_budget=eval_budget)
+
+
 @pytest.mark.parametrize("w0", [1.5, True])
 def test_chart_integral_refuses_non_integer_weights(w0):
     with pytest.raises(DomainError, match="requires positive integer weights"):

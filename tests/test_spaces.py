@@ -41,6 +41,11 @@ def test_compute_l2_rejects_bad_input():
         compute_l2([1, 2, 3])
 
 
+def test_compute_l2_refuses_an_argument_that_is_not_a_list():
+    with pytest.raises(DomainError, match="compute_l2 entries must be a list of integers, not int"):
+        compute_l2(5)
+
+
 @pytest.mark.parametrize("bad", [2.5, True])
 def test_compute_l2_refuses_non_integers(bad):
     with pytest.raises(DomainError, match=f"compute_l2 entries must be integers, got {bad!r}"):
@@ -116,10 +121,20 @@ def test_make_brieskorn_exponents_refuses_non_integers(bad):
         make_brieskorn_exponents([bad, 3, 4, 5])
 
 
+def test_make_brieskorn_exponents_refuses_an_argument_that_is_not_a_list():
+    with pytest.raises(DomainError, match="Brieskorn exponents must be a list of integers, not int"):
+        make_brieskorn_exponents(5)
+
+
 @pytest.mark.parametrize("bad", [2.5, True, 1.0])
 def test_make_wci_space_refuses_non_integer_degrees(bad):
     with pytest.raises(DomainError, match=f"degrees must be integers, got {bad!r}"):
         make_wci_space([1, 1, 1, 1], [bad])
+
+
+def test_make_wci_space_refuses_degrees_that_are_not_a_list():
+    with pytest.raises(DomainError, match="degrees must be a list of integers, not int"):
+        make_wci_space([1, 1, 1, 1, 1], 5)
 
 
 def test_brieskorn_to_wci_examples():

@@ -53,6 +53,11 @@ def test_make_weight_vector_rejects_bad_input():
         make_weight_vector([-1, 2])
 
 
+def test_make_weight_vector_refuses_an_argument_that_is_not_a_list():
+    with pytest.raises(DomainError, match="weights must be a list of integers, not int"):
+        make_weight_vector(5)
+
+
 def test_make_weight_vector_returns_a_weight_vector_unchanged():
     wv = make_weight_vector([4, 4, 5, 14])
     assert make_weight_vector(wv) is wv
