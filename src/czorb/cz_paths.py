@@ -11,13 +11,18 @@ and a path of rate lambda on [0, T] reparametrizes to the unit-rate path on
 - crossing enumeration for the scalar formula: every crossing time is
   visited, so the count does not use the floor formula;
 - determinant winding for loops of diagonal unitaries: the product of one
-  root of unity per rate is formed at every sample of [0, 1/2] and its
-  phase unwrapped. For integer rates the loop P(t) is its own conjugate
-  mirror, P(1 - t) = conj(P(t)), so the increments on [1/2, 1] repeat those
-  on [0, 1/2]; likewise the root table computes half of its entries and
-  mirrors the rest. The roots come from one table indexed by an exact
-  integer reduction, but the closed form, the sum of the signed rates, is
-  never computed.
+  root of unity per rate is formed at every sample of [0, 1/4] ([0, 1/2]
+  for an odd sample count) and its phase unwrapped. An integer-rate loop
+  P(t) has two exact symmetries, the half-period shift
+  P(t + 1/2) = (-1)^(sum r_j) * P(t) and the reflection
+  P(1/2 - t) = (-1)^(sum r_j) * conj(P(t)); the sign cancels in every phase
+  increment, so those increments give all the others (on an odd grid only
+  the reflection P(1 - t) = conj(P(t)) falls on samples). Likewise the root
+  table computes one quadrant (half, for an odd count) and mirrors the
+  rest exactly. No shift by 1/g with g > 2 is used: its factor is not +-1,
+  and carried to its end it is the sum of the rates in disguise. Every
+  factor is multiplied at every formed sample, and the closed form, the sum
+  of the signed rates, is never computed.
 """
 
 from __future__ import annotations
@@ -115,31 +120,62 @@ def _strided(table: list, start: int, step: int, count: int) -> list:
     return out
 
 
+def _roots(n: int) -> list:
+    """The N-th roots of unity, root[m] = exp(2*pi*i*m/N) for m = 0..N-1.
+
+    For even N only the first quadrant costs cos/sin pairs, m = 0..floor(N/4).
+    When 4 | N, root[N/4] is set to 1j, which is its own mirror
+    -conj(root[N/4]); cmath.rect leaves a real part of about 6e-17 there.
+    The rest is filled by the exact mirrors root[N/2 - m] = -conj(root[m])
+    and root[m + N/2] = -root[m]. For odd N the pairs are m = 0..floor(N/2)
+    and the rest is the conjugate mirror. Either way root[N - m] equals
+    conj(root[m]) exactly for every m.
+    """
+    half = n // 2
+    count = half + 1 if n % 2 else n // 4 + 1
+    head = list(map(cmath.rect, itertools.repeat(1.0, count), map((2.0 * math.pi / n).__mul__, range(count))))
+    if n % 2:
+        return head + [z.conjugate() for z in reversed(head[1:])]
+    if n % 4 == 0:
+        head[-1] = 1j
+    head += [-z.conjugate() for z in reversed(head[1 : half - count + 1])]
+    return head + [-z for z in head]
+
+
 def unwrapped_winding_phase(rates, samples: int) -> float:
     """Total unwrapped phase of t -> prod_j exp(2*pi*i*r_j*t) over [0, 1].
 
     Samples the product at the points t = k/N, k = 0..N with N = samples.
-    Each factor is read from one table of the N-th roots of unity: rate r at
-    sample k is root[(r*k) % N], an exact integer reduction. Only the first
-    floor(N/2) + 1 roots cost a cos/sin pair; the rest of the table is their
-    exact conjugate mirror, root[N - m] = conj(root[m]).
+    Each factor is read from one table of the N-th roots of unity, `_roots`:
+    rate r at sample k is root[(r*k) % N], an exact integer reduction.
 
-    For integer rates the loop reflects onto itself: P(1 - t) = conj(P(t)),
-    so the phase increment arg(P_k / P_{k-1}) at sample N - k + 1 equals the
-    one at sample k. The product is therefore formed, factor by factor, only
-    at the samples k = 0..ceil(N/2) on [0, 1/2]; increments 1..floor(N/2)
-    count twice, and for odd N the middle increment, its own mirror, once.
-    The rates are never added. The increments are added with math.fsum, one
-    block of samples at a time. The caller gives integer rates, at least one,
-    and a sampling dense enough that the true step between consecutive
-    samples stays below pi.
+    An integer-rate loop has two exact symmetries. The half-period shift
+    P(t + 1/2) = (-1)^(sum r_j) * P(t) makes the phase increments
+    arg(P_k / P_{k-1}) periodic with period L = N/2 for even N (L = N for
+    odd N), and the reflection P(L/N - t) = +-conj(P(t)) makes the
+    increments within one period a palindrome. The product is therefore
+    formed, factor by factor, only at the samples k = 0..ceil(L/2);
+    increments 1..floor(L/2) count twice, for odd L the middle increment,
+    its own mirror, once, and the period's sum counts N/L times. The sign
+    (-1)^(sum r_j) cancels in every ratio, so it is never needed and the
+    rates are never added. With the table of `_roots`, every product the
+    kernel skips is exactly +-P_k or +-conj(P_k) for a product P_k it forms,
+    so no rounding of the table or of the products enters the fold.
+
+    No shift P(t + 1/g) = c * P(t) with g > 2 is used: its c is not +-1, so
+    the skipped products would not be exact mirrors, and carried to its end
+    it leaves the single increment N * arg(prod_j exp(2*pi*i*r_j/N)) / (2*pi),
+    which is the sum of the rates in disguise.
+
+    The increments are added with math.fsum, one block of samples at a time.
+    The caller gives integer rates, at least one, and a sampling dense
+    enough that the true step between consecutive samples stays below pi.
     """
     n = samples
-    half = n // 2
-    last = n - half  # ceil(N/2), the last sample whose product is formed
-    angle = 2.0 * math.pi / n
-    head = list(map(cmath.rect, itertools.repeat(1.0, half + 1), map(angle.__mul__, range(half + 1))))
-    roots = head + [z.conjugate() for z in reversed(head[1:last])]
+    period = n if n % 2 else n // 2
+    half = period // 2
+    last = period - half  # ceil(L/2), the last sample whose product is formed
+    roots = _roots(n)
     block_sums = []
     middle = 0.0
     prev = roots[0]  # P_0 = 1
@@ -150,11 +186,11 @@ def unwrapped_winding_phase(rates, samples: int) -> float:
             values = _strided(roots, r * k0, r, count) if r else [roots[0]] * count
             prod = values if prod is None else list(map(operator.mul, prod, values))
         steps = list(map(cmath.phase, map(operator.truediv, prod, itertools.chain((prev,), prod))))
-        if k0 + count - 1 > half:  # odd N: this block ends at the middle sample
+        if k0 + count - 1 > half:  # odd L: this block ends at the middle sample
             middle = steps.pop()
         block_sums.append(math.fsum(steps))
         prev = prod[-1]
-    return 2.0 * math.fsum(block_sums) + middle
+    return n // period * (2.0 * math.fsum(block_sums) + middle)
 
 
 def det_winding(
@@ -165,12 +201,14 @@ def det_winding(
 
     The check is independent of the closed form sum(r_j): the kernel,
     `unwrapped_winding_phase`, multiplies one unit complex number per rate at
-    every sample of [0, 1/2] and unwraps the phase of the product, and the
-    winding is the rounded number of turns. The signed sum of the rates is
-    never computed; only sum(|r_j|) enters, as the sample count. What the
-    kernel relies on is the reflection P(1 - t) = conj(P(t)), which holds
-    because the rates are integers, as checked here: the increments on
-    [1/2, 1] are those on [0, 1/2], counted a second time.
+    every sample of [0, 1/4] ([0, 1/2] for an odd sample count) and unwraps
+    the phase of the product, and the winding is the rounded number of
+    turns. The signed sum of the rates is never computed; only sum(|r_j|)
+    enters, as the sample count. What the kernel relies on are the shift
+    P(t + 1/2) = +-P(t) and the reflection P(1/2 - t) = +-conj(P(t)), which
+    hold because the rates are integers, as checked here: the sign cancels
+    in every phase increment, so the increments on [0, 1/4] give those on
+    the rest of [0, 1].
 
     `samples` defaults to the minimum 4*sum(|r_j|) + 16, which keeps the true
     phase step between samples below pi and makes the unwrap exact up to

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import itertools
 import math
 import operator
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from czorb import cz_paths
 from czorb.cz_paths import (
     _BLOCK,
+    _roots,
     _strided,
     crossing_oracle_scalar,
     det_winding,
@@ -270,26 +272,76 @@ def test_half_loop_kernel_matches_the_full_loop(rates, extra):
     ]
     # ceil(N/2) at _BLOCK - 1, _BLOCK and _BLOCK + 1, each from an odd and an
     # even N; N = 2*_BLOCK + 1 leaves the middle increment alone in a block.
-    + [((3, -1, 5), n) for n in range(2 * _BLOCK - 3, 2 * _BLOCK + 3)],
+    + [((3, -1, 5), n) for n in range(2 * _BLOCK - 3, 2 * _BLOCK + 3)]
+    # ceil(L/2) at _BLOCK - 1, _BLOCK and _BLOCK + 1, each from N = 4c (L = 2c)
+    # and N = 4c - 2 (L = 2c - 1). The last, N = 4*_BLOCK + 2, leaves the
+    # middle increment alone in a block.
+    + [((3, -1, 5), n) for c in range(_BLOCK - 1, _BLOCK + 2) for n in (4 * c, 4 * c - 2)],
 )
 def test_half_loop_kernel_edge_cases(rates, samples):
     assert_half_loop_matches_the_full_loop(rates, samples)
 
 
-@pytest.mark.parametrize("samples", [4 * 15 + 16, 4 * 15 + 17, 2 * _BLOCK + 1])
-def test_half_loop_kernel_gathers_half_the_samples(monkeypatch, samples):
+@pytest.mark.parametrize(
+    "samples, gathered",
+    [
+        (4 * 15 + 16, 3 * 19),  # N = 76: L = 38
+        (4 * 15 + 17, 3 * 39),  # N = 77: L = 77
+        (4 * 15 + 18, 3 * 20),  # N = 78: L = 39
+        (2 * _BLOCK + 1, 3 * (_BLOCK + 1)),  # L = N
+    ],
+)
+def test_winding_kernel_gathers_half_a_period(monkeypatch, samples, gathered):
+    # The increments have period L = N/2 for even N (L = N for odd N), and a
+    # period is a palindrome, so each nonzero rate is gathered at the samples
+    # 1..ceil(L/2) only.
     rates = (3, 0, -5, 7, 0)
-    gathered = []
+    counts = []
 
     def counting_strided(table, start, step, count):
         values = _strided(table, start, step, count)
-        gathered.append(len(values))
+        counts.append(len(values))
         return values
 
     monkeypatch.setattr(cz_paths, "_strided", counting_strided)
     turns = unwrapped_winding_phase(rates, samples) / (2 * math.pi)
     assert round(turns) == sum(rates)
-    assert sum(gathered) == 3 * -(-samples // 2)  # nonzero rates x ceil(N/2)
+    assert sum(counts) == gathered
+
+
+def test_root_table_mirrors_are_exact():
+    for n in [*range(1, 130), 4 * _BLOCK, 4 * _BLOCK + 1, 4 * _BLOCK + 2, 9999]:
+        roots = _roots(n)
+        assert len(roots) == n
+        assert all(abs(z - cmath.rect(1.0, 2 * math.pi * m / n)) < 1e-14 for m, z in enumerate(roots)), n
+        assert all(roots[(n - m) % n] == roots[m].conjugate() for m in range(n)), n
+        if n % 2 == 0:
+            h = n // 2
+            assert all(roots[(m + h) % n] == -roots[m] for m in range(n)), n
+            assert all(roots[(h - m) % n] == -roots[m].conjugate() for m in range(n)), n
+
+
+@given(
+    st.lists(st.integers(-100, 100), min_size=1, max_size=8),
+    st.integers(0, 64),
+)
+@settings(max_examples=60, deadline=None)
+def test_skipped_products_are_exact_mirrors_of_formed_ones(rates, extra):
+    # P_k formed as the kernel forms it: one table root per rate, multiplied
+    # in rate order. For even N, P_{N/2-k} = s*conj(P_k) and P_{k+N/2} = s*P_k
+    # with s = (-1)^(sum of rates); for odd N, P_{N-k} = conj(P_k). Equal as
+    # floats, not merely close: no rounding of the table or of the products
+    # enters the fold.
+    n = 4 * sum(map(abs, rates)) + 16 + extra
+    roots = _roots(n)
+    loop = [functools.reduce(operator.mul, [roots[r * k % n] for r in rates]) for k in range(n)]
+    if n % 2:
+        assert all(loop[(n - k) % n] == loop[k].conjugate() for k in range(n))
+        return
+    h = n // 2
+    sign = operator.neg if sum(rates) % 2 else operator.pos
+    assert all(loop[(h - k) % n] == sign(loop[k].conjugate()) for k in range(n))
+    assert all(loop[(k + h) % n] == sign(loop[k]) for k in range(n))
 
 
 @pytest.mark.parametrize("samples", [100.5, 200.0, True, "200"])
