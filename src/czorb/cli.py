@@ -81,12 +81,6 @@ def _rational_json(x: Fraction) -> dict:
     return {"num": x.numerator, "den": x.denominator}
 
 
-def _rational_str(x: Fraction) -> str:
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
-
-
 def _error_payload(exc: CzorbError) -> dict:
     if isinstance(exc, NonCoprimeError):
         return {"type": "non-coprime", "gcd": exc.gcd, "message": str(exc)}
@@ -325,7 +319,7 @@ def _kv_lines(pairs) -> list[str]:
 def _text(value):
     """A payload value as the human renderers print it."""
     if isinstance(value, dict):
-        return _rational_str(Fraction(value["num"], value["den"]))
+        return str(Fraction(value["num"], value["den"]))
     if isinstance(value, list):
         return ",".join(map(str, value))
     if isinstance(value, bool):
@@ -472,6 +466,11 @@ def run(record: dict) -> dict:
 # ---------------------------------------------------------------------------
 # batch mode
 
+def _malformed(lineno: int, msg: str) -> tuple[dict, int]:
+    error = {"type": "malformed", "message": f"line {lineno}: {msg}"}
+    return {"id": None, "kind": None, "status": "error", "error": error}, 2
+
+
 def _run_line(lineno: int, line: str) -> tuple[dict, int]:
     """The output record of one batch line, and its exit code."""
     rec_id = kind = None
@@ -491,8 +490,7 @@ def _run_line(lineno: int, line: str) -> tuple[dict, int]:
             msg = f"integer of more than {sys.get_int_max_str_digits()} digits"
         else:
             msg = "nested too deeply"
-        error = {"type": "malformed", "message": f"line {lineno}: {msg}"}
-        return {"id": rec_id, "kind": kind, "status": "error", "error": error}, 2
+        return _malformed(lineno, msg)
     try:
         if not isinstance(rec, dict):
             raise DomainError(f"line {lineno}: record must be a JSON object")
@@ -537,6 +535,10 @@ def _run_batch(args) -> int:
                 continue
             out, code = _run_line(lineno, line)
             try:
+                text = _batch_text(out, args.json)
+            except RecursionError:
+                # The id parsed but is nested too deeply to encode.
+                out, code = _malformed(lineno, "nested too deeply")
                 text = _batch_text(out, args.json)
             except ValueError:
                 # The answer holds an integer too long for str(); json

@@ -68,23 +68,10 @@ class OrbitSpec(Record):
 
     __slots__ = ("support", "isotropy")
 
-    def __init__(self, support: frozenset[int], isotropy: int):
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "isotropy", isotropy)
-
 
 class CZReport(Record):
     __slots__ = ("index", "branch", "extrapolated", "b_constant", "notes")
-
-    def __init__(
-        self, index: int, branch: Branch, extrapolated: bool = False,
-        b_constant: int | None = None, notes: tuple[str, ...] = (),
-    ):
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "branch", branch)
-        object.__setattr__(self, "extrapolated", extrapolated)
-        object.__setattr__(self, "b_constant", b_constant)
-        object.__setattr__(self, "notes", notes)
+    _defaults = {"extrapolated": False, "b_constant": None, "notes": ()}
 
 
 def orbit_spec(wv: WeightVector, support: Iterable[int]) -> OrbitSpec:

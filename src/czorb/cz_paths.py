@@ -98,11 +98,6 @@ def crossing_oracle_scalar(T: RationalLike, eval_budget: int = DEFAULT_EVAL_BUDG
 class WindingResult(Record):
     __slots__ = ("winding", "residual", "samples")
 
-    def __init__(self, winding: int, residual: float, samples: int):
-        object.__setattr__(self, "winding", winding)
-        object.__setattr__(self, "residual", residual)
-        object.__setattr__(self, "samples", samples)
-
 
 # Samples per block: the root table is the only list of the sample count's size.
 _BLOCK = 4096

@@ -16,9 +16,6 @@ class Factorization(Record):
 
     __slots__ = ("pairs",)
 
-    def __init__(self, pairs: tuple[tuple[int, int], ...]):
-        object.__setattr__(self, "pairs", pairs)
-
     def value(self) -> int:
         """Reconstruct the factored integer."""
         n = 1

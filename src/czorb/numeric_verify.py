@@ -108,11 +108,6 @@ def chart_radial(w0: int, w1: int, tol: float, max_evals: int):
 class QuadratureResult(Record):
     __slots__ = ("value", "estimated_error", "evaluations")
 
-    def __init__(self, value: float, estimated_error: float, evaluations: int):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "estimated_error", estimated_error)
-        object.__setattr__(self, "evaluations", evaluations)
-
 
 def chart_integral(w0: int, w1: int, tol: float, eval_budget: int = DEFAULT_EVAL_BUDGET) -> QuadratureResult:
     """Numerically evaluate the chart integral. `tol` is relative: the

@@ -18,14 +18,10 @@ from .record import Record
 
 class AbelianGroupDescriptor(Record):
     """One of: the trivial group, a free group Z^rank, or a cyclic group
-    Z_order."""
+    Z_order, as `kind` "trivial", "free" or "cyclic"."""
 
     __slots__ = ("kind", "rank", "order")
-
-    def __init__(self, kind: str, rank: int = 0, order: int = 0):
-        object.__setattr__(self, "kind", kind)  # "trivial" | "free" | "cyclic"
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "order", order)
+    _defaults = {"rank": 0, "order": 0}
 
     def __str__(self) -> str:
         if self.kind == "trivial":

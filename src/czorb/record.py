@@ -3,8 +3,13 @@ their class's __slots__."""
 
 
 class Record:
-    """An immutable record. A subclass names its fields, in order, in
-    __slots__ and sets each one in its __init__ with object.__setattr__.
+    """An immutable record. A subclass declares its fields once: their
+    names, in order, in __slots__, and the defaults of trailing fields in a
+    `_defaults` dict. At class creation the fields are stored as `_fields`
+    and an __init__ is built from them that takes each field positionally
+    or by keyword, as namedtuple builds its __new__; a subclass that names
+    no new field keeps its parent's. The built __init__ carries no
+    annotations.
 
     Equality, hashing and repr follow the fields in order, as those of a
     frozen dataclass do, and a record never equals an instance of another
@@ -14,9 +19,26 @@ class Record:
     """
 
     __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = vars(cls).get("__slots__", ())
+        if not fields:
+            return
+        defaults = vars(cls).get("_defaults", {})
+        params = ", ".join(f"{name}=_defaults[{name!r}]" if name in defaults else name for name in fields)
+        body = "".join(f"\n    _setattr(self, {name!r}, {name})" for name in fields)
+        namespace = {"_setattr": object.__setattr__, "_defaults": defaults}
+        exec(f"def __init__(self, {params}):{body}", namespace)
+        init = namespace["__init__"]
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        init.__module__ = cls.__module__
+        cls.__init__ = init
+        cls._fields = fields
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -33,7 +55,7 @@ class Record:
         return hash(self._values())
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):

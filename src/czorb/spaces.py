@@ -17,7 +17,7 @@ from .errors import DomainError, as_tuple, check_ints
 # Unused here; perfbench's trace points still name czorb.spaces.factorize and ord_p.
 from .exact_arith import factorize, ord_p  # noqa: F401
 from .record import Record
-from .weights import WeightVector, make_weight_vector
+from .weights import make_weight_vector
 
 
 class WPSpace(Record):
@@ -25,9 +25,6 @@ class WPSpace(Record):
     orbifold structure."""
 
     __slots__ = ("weights",)
-
-    def __init__(self, weights: WeightVector):
-        object.__setattr__(self, "weights", weights)
 
 
 class WCISpace(Record):
@@ -38,10 +35,6 @@ class WCISpace(Record):
     """
 
     __slots__ = ("weights", "degrees")
-
-    def __init__(self, weights: WeightVector, degrees: tuple[int, ...]):
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "degrees", degrees)
 
     @property
     def r(self) -> int:
@@ -55,11 +48,6 @@ class BrieskornExponents(Record):
     """
 
     __slots__ = ("a", "l", "l2")
-
-    def __init__(self, a: tuple[int, ...], l: int, l2: int):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "l2", l2)
 
 
 Space = WPSpace | WCISpace
@@ -142,15 +130,7 @@ class TheoremCheck(Record):
     (recorded, not decidable from weights and degrees alone)."""
 
     __slots__ = ("b", "simply_connected", "simply_connected_reason", "manifold_condition")
-
-    def __init__(
-        self, b: int, simply_connected: bool, simply_connected_reason: str,
-        manifold_condition: str = "assumed, not checked",
-    ):
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "simply_connected", simply_connected)
-        object.__setattr__(self, "simply_connected_reason", simply_connected_reason)
-        object.__setattr__(self, "manifold_condition", manifold_condition)
+    _defaults = {"manifold_condition": "assumed, not checked"}
 
 
 def check_theorem_hypotheses(space: Space) -> TheoremCheck:

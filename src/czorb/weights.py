@@ -30,9 +30,6 @@ class WeightVector(Record):
 
     __slots__ = ("w",)
 
-    def __init__(self, w: tuple[int, ...]):
-        object.__setattr__(self, "w", w)
-
     @property
     def n(self) -> int:
         """Complex dimension of the ambient space (one less than the length)."""
@@ -50,18 +47,6 @@ class WeightVector(Record):
 
 class WeightInvariants(Record):
     __slots__ = ("sum", "product", "d", "e", "a_w", "reduced", "well_formed")
-
-    def __init__(
-        self, sum: int, product: int, d: tuple[int, ...], e: tuple[int, ...],
-        a_w: int, reduced: WeightVector, well_formed: bool,
-    ):
-        object.__setattr__(self, "sum", sum)
-        object.__setattr__(self, "product", product)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "a_w", a_w)
-        object.__setattr__(self, "reduced", reduced)
-        object.__setattr__(self, "well_formed", well_formed)
 
 
 def make_weight_vector(raw: Iterable[int]) -> WeightVector:

@@ -476,6 +476,31 @@ def test_batch_line_nested_past_the_recursion_limit_is_malformed(capsys, tmp_pat
     assert recs[1]["id"] == "good"
 
 
+@pytest.mark.parametrize("as_json", [True, False])
+def test_batch_id_nested_too_deeply_to_encode_is_malformed(capsys, tmp_path, as_json):
+    # Near the recursion limit an id can parse and still be too deep for its
+    # output record to encode; every line must still give one output line.
+    limit = sys.getrecursionlimit()
+    depths = range(limit - 150, limit + 3)
+    lines = [f'{{"id":{"[" * depth}{"]" * depth},"kind":"teardrop","m":2,"degree":1}}' for depth in depths]
+    path = tmp_path / "deep_id.ndjson"
+    path.write_text("\n".join([*lines, '{"id":"good","kind":"teardrop","m":3}']) + "\n")
+    code, out, _ = run_cli(capsys, "batch", str(path), *(["--json"] if as_json else []))
+    assert code == 2
+    out_lines = out.splitlines()
+    assert len(out_lines) == len(depths) + 1
+    ok = '"status":"ok"}' if as_json else "]: ok "
+    for lineno, text in enumerate(out_lines[:-1], 1):
+        error = {"type": "malformed", "message": f"line {lineno}: nested too deeply"}
+        if as_json:
+            malformed = dumps({"error": error, "id": None, "kind": None, "status": "error"})
+        else:
+            malformed = "-: error " + dumps(error)
+        assert text == malformed or ok in text
+    assert ok in out_lines[0] and out_lines[-2] == malformed
+    assert out_lines[-1].startswith('{"id":"good"' if as_json else "good: ok ")
+
+
 def test_batch_unreadable_file(capsys):
     code, _, err = run_cli(capsys, "batch", "/no/such/file.ndjson")
     assert code == 1

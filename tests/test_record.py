@@ -1,7 +1,8 @@
 """The value classes keep the semantics of frozen dataclasses: repr,
-equality, hashing, immutability, copy and pickle."""
+equality, hashing, immutability, copy, pickle and constructor parameters."""
 
 import copy
+import inspect
 import pickle
 
 import pytest
@@ -67,6 +68,38 @@ CASES = {
 }
 NAMES = sorted(CASES)
 
+# The constructor parameters of each class, in order, with their defaults.
+EMPTY = inspect.Parameter.empty
+SIGNATURES = {
+    "WeightVector": [("w", EMPTY)],
+    "WeightInvariants": [(name, EMPTY) for name in ("sum", "product", "d", "e", "a_w", "reduced", "well_formed")],
+    "WPSpace": [("weights", EMPTY)],
+    "WCISpace": [("weights", EMPTY), ("degrees", EMPTY)],
+    "BrieskornExponents": [("a", EMPTY), ("l", EMPTY), ("l2", EMPTY)],
+    "TheoremCheck": [
+        ("b", EMPTY),
+        ("simply_connected", EMPTY),
+        ("simply_connected_reason", EMPTY),
+        ("manifold_condition", "assumed, not checked"),
+    ],
+    "WindingResult": [("winding", EMPTY), ("residual", EMPTY), ("samples", EMPTY)],
+    "QuadratureResult": [("value", EMPTY), ("estimated_error", EMPTY), ("evaluations", EMPTY)],
+    "OrbitSpec": [("support", EMPTY), ("isotropy", EMPTY)],
+    "CZReport": [("index", EMPTY), ("branch", EMPTY), ("extrapolated", False), ("b_constant", None), ("notes", ())],
+    "Factorization": [("pairs", EMPTY)],
+    "AbelianGroupDescriptor": [("kind", EMPTY), ("rank", 0), ("order", 0)],
+}
+
+
+def _subclass(name: str) -> type:
+    """A module-level subclass that names no new field, so pickle finds it."""
+    sub = type(f"Sub{name}", (type(CASES[name][0]()),), {"__slots__": ()})
+    globals()[sub.__name__] = sub
+    return sub
+
+
+SUBCLASSES = {name: _subclass(name) for name in NAMES}
+
 
 def _fields(record) -> tuple:
     return tuple(getattr(record, name) for name in type(record).__slots__)
@@ -104,6 +137,34 @@ def test_a_record_equals_no_other_class_and_no_tuple(name):
     for other_name in NAMES:
         if other_name != name:
             assert record != CASES[other_name][0]()
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_a_subclass_without_new_fields_keeps_its_parents(name):
+    build, text = CASES[name]
+    record = build()
+    fields = _fields(record)
+    sub = SUBCLASSES[name](*fields)
+    assert repr(sub) == "Sub" + text
+    assert sub == SUBCLASSES[name](*fields)
+    assert sub != SUBCLASSES[name](*fields[:-1], "other")
+    assert hash(sub) == hash(record)
+    clone = pickle.loads(pickle.dumps(sub))
+    assert type(clone) is type(sub) and clone == sub and repr(clone) == repr(sub)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_constructor_signature(name):
+    cls = type(CASES[name][0]())
+    params = list(inspect.signature(cls).parameters.values())
+    assert [(p.name, p.default) for p in params] == SIGNATURES[name]
+    assert all(p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD for p in params)
+    required = sum(p.default is EMPTY for p in params)
+    cls(*range(required))
+    with pytest.raises(TypeError):
+        cls(*range(required - 1))
+    with pytest.raises(TypeError):
+        cls(*range(required), unknown=0)
 
 
 def test_records_of_two_classes_with_the_same_field_values_differ():
