@@ -8,8 +8,8 @@ class Record:
     `_defaults` dict. At class creation the fields are stored as `_fields`
     and an __init__ is built from them that takes each field positionally
     or by keyword, as namedtuple builds its __new__; a subclass that names
-    no new field keeps its parent's. The built __init__ carries no
-    annotations.
+    no new field keeps its parent's, and one that writes an __init__ or adds
+    fields raises TypeError. The built __init__ carries no annotations.
 
     Equality, hashing and repr follow the fields in order, as those of a
     frozen dataclass do, and a record never equals an instance of another
@@ -26,15 +26,16 @@ class Record:
         fields = vars(cls).get("__slots__", ())
         if not fields:
             return
+        if "__init__" in vars(cls) or cls._fields:  # the built __init__ would drop either
+            raise TypeError(f"{cls.__qualname__}: a record writes no __init__ and adds no fields to a parent's")
         defaults = vars(cls).get("_defaults", {})
         params = ", ".join(f"{name}=_defaults[{name!r}]" if name in defaults else name for name in fields)
         body = "".join(f"\n    _setattr(self, {name!r}, {name})" for name in fields)
         namespace = {"_setattr": object.__setattr__, "_defaults": defaults}
         exec(f"def __init__(self, {params}):{body}", namespace)
-        init = namespace["__init__"]
+        cls.__init__ = init = namespace["__init__"]
         init.__qualname__ = f"{cls.__qualname__}.__init__"
         init.__module__ = cls.__module__
-        cls.__init__ = init
         cls._fields = fields
 
     def _values(self) -> tuple:

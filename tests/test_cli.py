@@ -477,16 +477,49 @@ def test_batch_line_nested_past_the_recursion_limit_is_malformed(capsys, tmp_pat
 
 
 @pytest.mark.parametrize("as_json", [True, False])
-def test_batch_id_nested_too_deeply_to_encode_is_malformed(capsys, tmp_path, as_json):
-    # Near the recursion limit an id can parse and still be too deep for its
-    # output record to encode; every line must still give one output line.
+def test_batch_id_too_deep_to_encode_is_malformed(capsys, tmp_path, monkeypatch, as_json):
+    # An id can parse and still be nested too deeply for its output line to
+    # encode. How deep that is depends on the Python version, so the
+    # RecursionError is raised here for one chosen id.
+    batch_text = cli._batch_text
+
+    def too_deep_for_one_id(out, json_mode):
+        if out["id"] == "deep":
+            raise RecursionError("maximum recursion depth exceeded")
+        return batch_text(out, json_mode)
+
+    monkeypatch.setattr(cli, "_batch_text", too_deep_for_one_id)
+    path = tmp_path / "deep_id.ndjson"
+    path.write_text(
+        '{"id":"first","kind":"teardrop","m":2,"degree":1}\n'
+        '{"id":"deep","kind":"teardrop","m":2,"degree":1}\n'
+        '{"id":"good","kind":"teardrop","m":3}\n'
+    )
+    code, out, _ = run_cli(capsys, "batch", str(path), *(["--json"] if as_json else []))
+    assert code == 2
+    out_lines = out.splitlines()
+    assert len(out_lines) == 3
+    error = {"type": "malformed", "message": "line 2: nested too deeply"}
+    if as_json:
+        assert out_lines[1] == dumps({"error": error, "id": None, "kind": None, "status": "error"})
+    else:
+        assert out_lines[1] == "-: error " + dumps(error)
+    assert out_lines[0].startswith('{"id":"first"' if as_json else "first: ok ")
+    assert out_lines[2].startswith('{"id":"good"' if as_json else "good: ok ")
+
+
+@pytest.mark.parametrize("as_json", [True, False])
+def test_batch_ids_nested_near_the_recursion_limit_give_one_line_each(capsys, tmp_path, as_json):
+    # Every line gives one output line, ok or malformed, and the run goes on.
+    # Up to Python 3.11 the json C code and list repr share the recursion
+    # limit, so the deepest ids here parse but cannot be encoded; from 3.12
+    # on they run under a higher C limit and may all be ok.
     limit = sys.getrecursionlimit()
     depths = range(limit - 150, limit + 3)
     lines = [f'{{"id":{"[" * depth}{"]" * depth},"kind":"teardrop","m":2,"degree":1}}' for depth in depths]
     path = tmp_path / "deep_id.ndjson"
     path.write_text("\n".join([*lines, '{"id":"good","kind":"teardrop","m":3}']) + "\n")
     code, out, _ = run_cli(capsys, "batch", str(path), *(["--json"] if as_json else []))
-    assert code == 2
     out_lines = out.splitlines()
     assert len(out_lines) == len(depths) + 1
     ok = '"status":"ok"}' if as_json else "]: ok "
@@ -497,8 +530,12 @@ def test_batch_id_nested_too_deeply_to_encode_is_malformed(capsys, tmp_path, as_
         else:
             malformed = "-: error " + dumps(error)
         assert text == malformed or ok in text
-    assert ok in out_lines[0] and out_lines[-2] == malformed
+    assert ok in out_lines[0]
     assert out_lines[-1].startswith('{"id":"good"' if as_json else "good: ok ")
+    if sys.version_info < (3, 12):
+        assert code == 2 and out_lines[-2] == malformed
+    else:
+        assert code in (0, 2)
 
 
 def test_batch_unreadable_file(capsys):

@@ -167,6 +167,18 @@ def test_constructor_signature(name):
         cls(*range(required), unknown=0)
 
 
+def test_a_record_class_that_would_be_built_wrong_is_refused():
+    from czorb.record import Record
+
+    def init(self, w):
+        pass
+
+    with pytest.raises(TypeError, match="writes no __init__"):
+        type("OwnInit", (Record,), {"__slots__": ("w",), "__init__": init})
+    with pytest.raises(TypeError, match="adds no fields"):
+        type("MoreFields", (WeightVector,), {"__slots__": ("extra",)})
+
+
 def test_records_of_two_classes_with_the_same_field_values_differ():
     assert WindingResult(1, 0.5, 3) != QuadratureResult(1, 0.5, 3)
     assert WindingResult(1, 0.5, 3) != WindingResult(1, 0.5, 4)
