@@ -515,7 +515,9 @@ def _run_line(lineno: int, line: str) -> tuple[dict, int]:
 def _batch_text(out: dict, as_json: bool) -> str:
     if as_json:
         return dumps(out)
-    tag = out["id"] if out["id"] is not None else "-"
+    tag = out["id"]
+    if not isinstance(tag, str):
+        tag = "-" if tag is None else dumps(tag)
     return f"{tag}: {out['status']} {dumps(out.get('result', out.get('error')))}"
 
 

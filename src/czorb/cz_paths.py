@@ -11,18 +11,21 @@ and a path of rate lambda on [0, T] reparametrizes to the unit-rate path on
 - crossing enumeration for the scalar formula: every crossing time is
   visited, so the count does not use the floor formula;
 - determinant winding for loops of diagonal unitaries: the product of one
-  root of unity per rate is formed at every sample of [0, 1/4] ([0, 1/2]
-  for an odd sample count) and its phase unwrapped. An integer-rate loop
-  P(t) has two exact symmetries, the half-period shift
-  P(t + 1/2) = (-1)^(sum r_j) * P(t) and the reflection
-  P(1/2 - t) = (-1)^(sum r_j) * conj(P(t)); the sign cancels in every phase
-  increment, so those increments give all the others (on an odd grid only
-  the reflection P(1 - t) = conj(P(t)) falls on samples). Likewise the root
-  table computes one quadrant (half, for an odd count) and mirrors the
-  rest exactly. No shift by 1/g with g > 2 is used: its factor is not +-1,
-  and carried to its end it is the sum of the rates in disguise. Every
-  factor is multiplied at every formed sample, and the closed form, the sum
-  of the signed rates, is never computed.
+  root of unity per rate is formed at every sample of [0, 1/8] when 4
+  divides the sample count, of [0, 1/4] when it is 2 (mod 4) and of
+  [0, 1/2] when it is odd, and its phase unwrapped. An integer-rate loop
+  P(t) has the exact symmetries P(t + 1/g) = c * P(t) and
+  P(1/g - t) = c * conj(P(t)) with c = exp(2*pi*i*sum(r_j)/g); c cancels in
+  every phase increment, so the increments of one fold give all the others.
+  A shift is used only where the grid has it and c is exact in floats: by
+  1/4 (c = +-1 or +-i, a sign or a swap of the parts) when 4 | N, by 1/2
+  (c = +-1) when N = 2 (mod 4), and only the reflection
+  P(1 - t) = conj(P(t)) for odd N. The shift by 1/8 is not used, since its
+  c = exp(i*pi*sum(r_j)/4) is not exact in floats. Likewise the root table
+  computes one octant (a quadrant for N = 2 (mod 4), half for odd N) and
+  fills the rest by exact swaps and mirrors. Every factor is multiplied at
+  every formed sample, and the closed form, the sum of the signed rates,
+  is never computed.
 """
 
 from __future__ import annotations
@@ -85,13 +88,8 @@ def crossing_oracle_scalar(T: RationalLike, eval_budget: int = DEFAULT_EVAL_BUDG
         # The count may have too many digits to print.
         raise DomainError(f"crossing_oracle_scalar needs more crossings than the evaluation budget {eval_budget}")
     index = 0
-    t = 0  # 2*k*den for the k-th crossing
-    while t <= num:
-        if t == 0 or t == num:
-            index += 1
-        else:
-            index += 2
-        t += step
+    for t in range(0, num + 1, step):  # t = 2*k*den for the k-th crossing
+        index += 1 if t == 0 or t == num else 2
     return index
 
 
@@ -118,22 +116,31 @@ def _strided(table: list, start: int, step: int, count: int) -> list:
 def _roots(n: int) -> list:
     """The N-th roots of unity, root[m] = exp(2*pi*i*m/N) for m = 0..N-1.
 
-    For even N only the first quadrant costs cos/sin pairs, m = 0..floor(N/4).
-    When 4 | N, root[N/4] is set to 1j, which is its own mirror
-    -conj(root[N/4]); cmath.rect leaves a real part of about 6e-17 there.
-    The rest is filled by the exact mirrors root[N/2 - m] = -conj(root[m])
-    and root[m + N/2] = -root[m]. For odd N the pairs are m = 0..floor(N/2)
-    and the rest is the conjugate mirror. Either way root[N - m] equals
-    conj(root[m]) exactly for every m.
+    When 4 | N only the first octant costs cos/sin pairs, m = 0..floor(N/8).
+    When 8 | N, root[N/8] is set to complex(sqrt(1/2), sqrt(1/2)), which is
+    its own swap; cmath.rect leaves its two parts an ulp apart. The rest of
+    the quadrant is the exact swap root[N/4 - m] = 1j * conj(root[m]), equal
+    to complex(root[m].imag, root[m].real) since each part is a product by
+    0 or 1 plus a zero (and cheaper to form), which makes root[N/4] exactly
+    1j. For N = 2 (mod 4) the quadrant m = 0..floor(N/4) costs pairs.
+    Either quadrant is completed by the exact mirrors root[N/2 - m] = -conj(root[m]) and
+    root[m + N/2] = -root[m]; for 4 | N, root[m + N/4] then equals
+    complex(-root[m].imag, root[m].real) exactly, i * root[m] as a swap and
+    negation. For odd N the pairs are m = 0..floor(N/2) and the rest is the
+    conjugate mirror. In every case root[N - m] equals conj(root[m]) exactly.
     """
     half = n // 2
-    count = half + 1 if n % 2 else n // 4 + 1
-    head = list(map(cmath.rect, itertools.repeat(1.0, count), map((2.0 * math.pi / n).__mul__, range(count))))
+    quarter = n // 4
+    count = half + 1 if n % 2 else quarter // 2 + 1 if n % 4 == 0 else quarter + 1
+    step = 2.0 * math.pi / n
+    head = [cmath.rect(1.0, step * m) for m in range(count)]
     if n % 2:
         return head + [z.conjugate() for z in reversed(head[1:])]
     if n % 4 == 0:
-        head[-1] = 1j
-    head += [-z.conjugate() for z in reversed(head[1 : half - count + 1])]
+        if n % 8 == 0:
+            head[-1] = complex(math.sqrt(0.5), math.sqrt(0.5))
+        head += [1j * z.conjugate() for z in reversed(head[: quarter - count + 1])]
+    head += [-z.conjugate() for z in reversed(head[1 : half - quarter])]
     return head + [-z for z in head]
 
 
@@ -144,30 +151,36 @@ def unwrapped_winding_phase(rates, samples: int) -> float:
     Each factor is read from one table of the N-th roots of unity, `_roots`:
     rate r at sample k is root[(r*k) % N], an exact integer reduction.
 
-    An integer-rate loop has two exact symmetries. The half-period shift
-    P(t + 1/2) = (-1)^(sum r_j) * P(t) makes the phase increments
-    arg(P_k / P_{k-1}) periodic with period L = N/2 for even N (L = N for
-    odd N), and the reflection P(L/N - t) = +-conj(P(t)) makes the
-    increments within one period a palindrome. The product is therefore
-    formed, factor by factor, only at the samples k = 0..ceil(L/2);
-    increments 1..floor(L/2) count twice, for odd L the middle increment,
-    its own mirror, once, and the period's sum counts N/L times. The sign
-    (-1)^(sum r_j) cancels in every ratio, so it is never needed and the
-    rates are never added. With the table of `_roots`, every product the
-    kernel skips is exactly +-P_k or +-conj(P_k) for a product P_k it forms,
-    so no rounding of the table or of the products enters the fold.
+    An integer-rate loop has the exact symmetries P(t + 1/g) = c * P(t) and
+    P(1/g - t) = c * conj(P(t)) with c = exp(2*pi*i*sum(r_j)/g). The shift
+    makes the phase increments arg(P_k / P_{k-1}) periodic with period
+    L = N/g, and the reflection makes the increments within one period a
+    palindrome. The kernel takes g = 4 when 4 | N (L = N/4, c = +-1 or +-i),
+    g = 2 when N = 2 (mod 4) (L = N/2, c = +-1) and, for odd N, only the
+    reflection about t = 1/2 (L = N, c = 1). The product is therefore
+    formed, factor by factor, only at the samples k = 0..ceil(L/2), that is
+    on [0, 1/8], [0, 1/4] or [0, 1/2]; increments 1..floor(L/2) count
+    twice, for odd L the middle increment, its own mirror, once, and the
+    period's sum counts N/L times. The factor c cancels in every ratio, so
+    it is never needed and the rates are never added. With the table of
+    `_roots`, every product the kernel skips is c * P_k or c * conj(P_k)
+    for a product P_k it forms, exactly: +-1 flips signs and +-i swaps the
+    parts and flips a sign, so no rounding of the table or of the products
+    enters the fold.
 
-    No shift P(t + 1/g) = c * P(t) with g > 2 is used: its c is not +-1, so
-    the skipped products would not be exact mirrors, and carried to its end
-    it leaves the single increment N * arg(prod_j exp(2*pi*i*r_j/N)) / (2*pi),
-    which is the sum of the rates in disguise.
+    The fold stops where exactness ends. The shift by 1/8 would need
+    c = exp(i*pi*sum(r_j)/4), which is not exact in floats, so its skipped
+    products would not be exact rotations of formed ones; and a shift by
+    1/g carried to its end leaves the single increment
+    N * arg(prod_j exp(2*pi*i*r_j/N)) / (2*pi), the sum of the rates in
+    disguise.
 
     The increments are added with math.fsum, one block of samples at a time.
     The caller gives integer rates, at least one, and a sampling dense
     enough that the true step between consecutive samples stays below pi.
     """
     n = samples
-    period = n if n % 2 else n // 2
+    period = n if n % 2 else n // 4 if n % 4 == 0 else n // 2
     half = period // 2
     last = period - half  # ceil(L/2), the last sample whose product is formed
     roots = _roots(n)
@@ -196,14 +209,16 @@ def det_winding(
 
     The check is independent of the closed form sum(r_j): the kernel,
     `unwrapped_winding_phase`, multiplies one unit complex number per rate at
-    every sample of [0, 1/4] ([0, 1/2] for an odd sample count) and unwraps
-    the phase of the product, and the winding is the rounded number of
-    turns. The signed sum of the rates is never computed; only sum(|r_j|)
-    enters, as the sample count. What the kernel relies on are the shift
-    P(t + 1/2) = +-P(t) and the reflection P(1/2 - t) = +-conj(P(t)), which
-    hold because the rates are integers, as checked here: the sign cancels
-    in every phase increment, so the increments on [0, 1/4] give those on
-    the rest of [0, 1].
+    every sample of [0, 1/8] (of [0, 1/4] for a sample count that is
+    2 (mod 4), of [0, 1/2] for an odd one) and unwraps the phase of the
+    product, and the winding is the rounded number of turns. The signed sum
+    of the rates is never computed; only sum(|r_j|) enters, as the sample
+    count. What the kernel relies on are the shift P(t + 1/4) = c * P(t)
+    and the reflection P(1/4 - t) = c * conj(P(t)) with c = +-1 or +-i (by
+    1/2 with c = +-1 for N = 2 (mod 4)), which hold because the rates are
+    integers, as checked here: c cancels in every phase increment, so the
+    increments on [0, 1/8] give those on the rest of [0, 1]. Shifts by 1/2
+    and 1/4 are exact in floats; a shift by 1/8 is not, and is not used.
 
     `samples` defaults to the minimum 4*sum(|r_j|) + 16, which keeps the true
     phase step between samples below pi and makes the unwrap exact up to

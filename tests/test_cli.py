@@ -209,6 +209,16 @@ def test_batch_worked_examples(capsys, tmp_path):
         assert dumps(json.loads(raw)) == raw
 
 
+def test_batch_text_prints_an_id_that_is_not_a_string_as_json(capsys, tmp_path):
+    ids = [7, True, {"a": "x"}, [1, 2], None, "x"]
+    path = tmp_path / "ids.ndjson"
+    path.write_text("".join(json.dumps({"id": i, "kind": "teardrop", "m": 3}) + "\n" for i in ids))
+    code, out, _ = run_cli(capsys, "batch", str(path))
+    assert code == 0
+    tags = [line.partition(": ok ")[0] for line in out.splitlines()]
+    assert tags == ["7", "true", '{"a":"x"}', "[1,2]", "-", "x"]
+
+
 def test_batch_empty_file(capsys, tmp_path):
     path = tmp_path / "empty.ndjson"
     path.write_text("")

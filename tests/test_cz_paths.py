@@ -177,8 +177,9 @@ def test_det_winding_random_vectors():
 
 def test_unwrapped_winding_phase_golden_value():
     # Exact float equality: any change in the order of the arithmetic fails.
-    # The value is float(27 * 2*pi): the increments add up exactly.
-    assert unwrapped_winding_phase((4, 4, 5, 14), 124) == 169.64600329384882 == 27 * 2 * math.pi
+    # The value is one ulp above float(27 * 2*pi).
+    value = unwrapped_winding_phase((4, 4, 5, 14), 124)
+    assert value == 169.64600329384885 == math.nextafter(27 * 2 * math.pi, math.inf)
 
 
 def trig_loop_winding_phase(rates, samples):
@@ -222,7 +223,7 @@ def test_winding_kernel_matches_the_trig_loop(rates, extra):
 
 
 def full_loop_winding_phase(rates, samples):
-    """The kernel before the half-loop reflection: the product is formed at
+    """The kernel before any fold: the product is formed at
     every sample k = 1..N from a root table of N cos/sin pairs, and all N
     increments are added."""
     n = samples
@@ -242,11 +243,11 @@ def full_loop_winding_phase(rates, samples):
     return math.fsum(block_sums)
 
 
-def assert_half_loop_matches_the_full_loop(rates, samples):
-    half = unwrapped_winding_phase(rates, samples) / (2 * math.pi)
+def assert_folded_matches_the_full_loop(rates, samples):
+    folded = unwrapped_winding_phase(rates, samples) / (2 * math.pi)
     full = full_loop_winding_phase(rates, samples) / (2 * math.pi)
-    assert round(half) == round(full) == sum(rates)
-    assert abs(half - round(half)) < 1e-9
+    assert round(folded) == round(full) == sum(rates)
+    assert abs(folded - round(folded)) < 1e-9
     assert abs(full - round(full)) < 1e-9
 
 
@@ -256,9 +257,9 @@ def assert_half_loop_matches_the_full_loop(rates, samples):
 )
 @settings(max_examples=60, deadline=None)
 def test_half_loop_kernel_matches_the_full_loop(rates, extra):
-    # Odd and even sample counts, from the unwrap-safe minimum up to three
-    # more blocks.
-    assert_half_loop_matches_the_full_loop(rates, 4 * sum(map(abs, rates)) + 16 + extra)
+    # Sample counts of every residue mod 4, from the unwrap-safe minimum up
+    # to three more blocks.
+    assert_folded_matches_the_full_loop(rates, 4 * sum(map(abs, rates)) + 16 + extra)
 
 
 @pytest.mark.parametrize(
@@ -270,31 +271,36 @@ def test_half_loop_kernel_matches_the_full_loop(rates, extra):
         ((0, 0, 9, 0), 53),  # all rates zero but one
         ((0, -3, 0), 29),
     ]
-    # ceil(N/2) at _BLOCK - 1, _BLOCK and _BLOCK + 1, each from an odd and an
-    # even N; N = 2*_BLOCK + 1 leaves the middle increment alone in a block.
+    # ceil(L/2) at _BLOCK - 1, _BLOCK and _BLOCK + 1 from the odd N (L = N)
+    # among these; N = 2*_BLOCK + 1 leaves the middle increment alone in a
+    # block. The even N fold to about half a block.
     + [((3, -1, 5), n) for n in range(2 * _BLOCK - 3, 2 * _BLOCK + 3)]
-    # ceil(L/2) at _BLOCK - 1, _BLOCK and _BLOCK + 1, each from N = 4c (L = 2c)
-    # and N = 4c - 2 (L = 2c - 1). The last, N = 4*_BLOCK + 2, leaves the
-    # middle increment alone in a block.
-    + [((3, -1, 5), n) for c in range(_BLOCK - 1, _BLOCK + 2) for n in (4 * c, 4 * c - 2)],
+    # ceil(L/2) at _BLOCK - 1, _BLOCK and _BLOCK + 1 from N = 4c - 2
+    # (L = 2c - 1); N = 4*_BLOCK + 2 leaves the middle increment alone in a
+    # block. N = 4c (L = c) folds to about half a block.
+    + [((3, -1, 5), n) for c in range(_BLOCK - 1, _BLOCK + 2) for n in (4 * c, 4 * c - 2)]
+    # ceil(L/2) at _BLOCK - 1, _BLOCK and _BLOCK + 1 from N = 8c (L = 2c)
+    # and N = 8c - 4 (L = 2c - 1); N = 8*_BLOCK + 4 leaves the middle
+    # increment alone in a block.
+    + [((3, -1, 5), n) for c in range(_BLOCK - 1, _BLOCK + 2) for n in (8 * c, 8 * c - 4)],
 )
 def test_half_loop_kernel_edge_cases(rates, samples):
-    assert_half_loop_matches_the_full_loop(rates, samples)
+    assert_folded_matches_the_full_loop(rates, samples)
 
 
 @pytest.mark.parametrize(
     "samples, gathered",
     [
-        (4 * 15 + 16, 3 * 19),  # N = 76: L = 38
+        (4 * 15 + 16, 3 * 10),  # N = 76: L = 19
         (4 * 15 + 17, 3 * 39),  # N = 77: L = 77
         (4 * 15 + 18, 3 * 20),  # N = 78: L = 39
         (2 * _BLOCK + 1, 3 * (_BLOCK + 1)),  # L = N
     ],
 )
 def test_winding_kernel_gathers_half_a_period(monkeypatch, samples, gathered):
-    # The increments have period L = N/2 for even N (L = N for odd N), and a
-    # period is a palindrome, so each nonzero rate is gathered at the samples
-    # 1..ceil(L/2) only.
+    # The increments have period L = N/4 when 4 | N, L = N/2 when
+    # N = 2 (mod 4) and L = N for odd N, and a period is a palindrome, so
+    # each nonzero rate is gathered at the samples 1..ceil(L/2) only.
     rates = (3, 0, -5, 7, 0)
     counts = []
 
@@ -319,6 +325,9 @@ def test_root_table_mirrors_are_exact():
             h = n // 2
             assert all(roots[(m + h) % n] == -roots[m] for m in range(n)), n
             assert all(roots[(h - m) % n] == -roots[m].conjugate() for m in range(n)), n
+        if n % 4 == 0:
+            q = n // 4
+            assert all(roots[(m + q) % n] == complex(-roots[m].imag, roots[m].real) for m in range(n)), n
 
 
 @given(
@@ -329,7 +338,9 @@ def test_root_table_mirrors_are_exact():
 def test_skipped_products_are_exact_mirrors_of_formed_ones(rates, extra):
     # P_k formed as the kernel forms it: one table root per rate, multiplied
     # in rate order. For even N, P_{N/2-k} = s*conj(P_k) and P_{k+N/2} = s*P_k
-    # with s = (-1)^(sum of rates); for odd N, P_{N-k} = conj(P_k). Equal as
+    # with s = (-1)^(sum of rates); for 4 | N, also P_{N/4-k} = c*conj(P_k)
+    # and P_{k+N/4} = c*P_k with c = i^(sum of rates), applied as a swap and
+    # negation of the parts; for odd N, P_{N-k} = conj(P_k). Equal as
     # floats, not merely close: no rounding of the table or of the products
     # enters the fold.
     n = 4 * sum(map(abs, rates)) + 16 + extra
@@ -342,6 +353,16 @@ def test_skipped_products_are_exact_mirrors_of_formed_ones(rates, extra):
     sign = operator.neg if sum(rates) % 2 else operator.pos
     assert all(loop[(h - k) % n] == sign(loop[k].conjugate()) for k in range(n))
     assert all(loop[(k + h) % n] == sign(loop[k]) for k in range(n))
+    if n % 4 == 0:
+        q = n // 4
+        turn = [
+            operator.pos,
+            lambda z: complex(-z.imag, z.real),
+            operator.neg,
+            lambda z: complex(z.imag, -z.real),
+        ][sum(rates) % 4]
+        assert all(loop[(q - k) % n] == turn(loop[k].conjugate()) for k in range(n))
+        assert all(loop[(k + q) % n] == turn(loop[k]) for k in range(n))
 
 
 @pytest.mark.parametrize("samples", [100.5, 200.0, True, "200"])
