@@ -26,10 +26,11 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from enum import Enum
+from itertools import compress
 
 # scalar_cz is not called here; the benchmark tracer patches
 # czorb.cz_indices.scalar_cz, and every patch point must resolve.
-from .cz_paths import scalar_cz, scalar_index  # noqa: F401
+from .cz_paths import scalar_cz, scalar_index, scalar_index_sum  # noqa: F401
 from .errors import DomainError, UncoveredCaseError, check_ints
 from .record import Record
 from .spaces import BrieskornExponents, Space, WCISpace, WPSpace, b_constant, brieskorn_to_wci
@@ -80,10 +81,11 @@ def orbit_spec(wv: WeightVector, support: Iterable[int]) -> OrbitSpec:
     s = frozenset(check_ints("support", support))
     if not s:
         raise DomainError("orbit support must be nonempty")
-    for j in s:
-        if not 0 <= j < len(wv):
-            raise DomainError(f"support index {j!r} out of range 0..{len(wv) - 1}")
-    return OrbitSpec(s, math.gcd(*(wv[j] for j in s)))
+    w = wv.w
+    if min(s) < 0 or max(s) >= len(w):
+        bad = next(j for j in s if not 0 <= j < len(w))
+        raise DomainError(f"support index {bad!r} out of range 0..{len(w) - 1}")
+    return OrbitSpec(s, math.gcd(*map(w.__getitem__, s)))
 
 
 def mu_principal(space: Space) -> CZReport:
@@ -117,32 +119,38 @@ def _reduced_index(
     """Index of the orbit on the support s with isotropy d > 1, and whether
     any term was extrapolated: the stratum P(w_S/d), of degree degree/d, adds
     2*(sum_{j in S} w_j/d - degree/d), and each coordinate k outside s adds
-    the scalar index of duration w_k/d, visited in ascending k.
+    the scalar index of duration w_k/d (scalar_index_sum); d divides every
+    supported weight, so the stratum term is exact.
 
     The even-integer duration is a closed transverse loop, which no covered
-    case adjudicates; it is refused unless extrapolation was requested.
+    case adjudicates; it is refused unless extrapolation was requested. Only
+    when some transverse w_k is a multiple of 2*d are the coordinates walked
+    in ascending k, so that the refusal names the lowest such k and the notes
+    come in order.
     """
-    total = -2 * (degree // d)
-    extrapolated = False
+    w = wv.w
+    outside = [True] * len(w)
+    for j in s:
+        outside[j] = False
+    transverse = list(compress(w, outside))
+    total = 2 * ((sum(w) - sum(transverse)) // d - degree // d) + scalar_index_sum(transverse, d)
     period = 2 * d
-    for k, wk in enumerate(wv.w):
-        if k in s:
-            total += 2 * (wk // d)
+    if 0 not in [wk % period for wk in transverse]:
+        return total, False
+    for k, wk in enumerate(w):
+        if wk % period or k in s:
             continue
-        total += scalar_index(wk, d)
-        if wk % period == 0:
-            if not allow_extrapolation:
-                raise UncoveredCaseError(
-                    f"transverse coordinate {k} (weight {wk} over isotropy {d}) gives the even "
-                    f"integer {wk // d}; this closed-loop case is uncovered (pass "
-                    "allow_extrapolation to use the even scalar branch)"
-                )
-            notes.append(
-                f"transverse coordinate {k} has ratio {wk // d}, an even integer; indexed with "
-                "the even scalar branch beyond the covered cases"
+        if not allow_extrapolation:
+            raise UncoveredCaseError(
+                f"transverse coordinate {k} (weight {wk} over isotropy {d}) gives the even "
+                f"integer {wk // d}; this closed-loop case is uncovered (pass "
+                "allow_extrapolation to use the even scalar branch)"
             )
-            extrapolated = True
-    return total, extrapolated
+        notes.append(
+            f"transverse coordinate {k} has ratio {wk // d}, an even integer; indexed with "
+            "the even scalar branch beyond the covered cases"
+        )
+    return total, True
 
 
 def mu_orbit_wps(

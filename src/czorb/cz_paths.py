@@ -6,7 +6,10 @@ The closed form for the unit-rate scalar path t -> exp(i*pi*t) on [0, T] is
     2*floor(T/2)+1  otherwise,
 
 and a path of rate lambda on [0, T] reparametrizes to the unit-rate path on
-[0, lambda*T]. Two independent oracles live here as well:
+[0, lambda*T]. scalar_index computes it in integers for T = num/den, and
+scalar_index_sum adds it up over many num with one den in bulk, as
+(sum(num) - sum(r))/den plus the count of r != 0, with r = num mod 2*den.
+Two independent oracles live here as well:
 
 - crossing enumeration for the scalar formula: every crossing time is
   visited, so the count does not use the floor formula;
@@ -62,6 +65,15 @@ def scalar_index(num: int, den: int) -> int:
     """
     q, r = divmod(num, 2 * den)
     return 2 * q + (r != 0)
+
+
+def scalar_index_sum(nums: list[int], den: int) -> int:
+    """sum(scalar_index(num, den) for num in nums), 0 for an empty list:
+    with r = num mod 2*den, the 2*q terms add up to exactly
+    (sum(nums) - sum(r)) // den, and each r != 0 adds one."""
+    period = 2 * den
+    r = [num % period for num in nums]
+    return (sum(nums) - sum(r)) // den + len(r) - r.count(0)
 
 
 def scalar_cz(T: RationalLike) -> int:

@@ -11,8 +11,10 @@ gcd 1 overall. From it we derive:
   reduced  (w_0/e_0, ..., w_n/e_n)
 
 The space is well-formed exactly when every d_j = 1, equivalently a_w = 1.
-For length-2 vectors the "omit one" folds degenerate to the single remaining
-element: d_0 = w_1, d_1 = w_0, e_0 = d_1, e_1 = d_0.
+As gcd(w) = 1, the d_j are pairwise coprime (a prime dividing d_i and d_j,
+i != j, would divide every weight), so a_w is their product and e_j = a_w/d_j;
+a WeightVector built by hand with gcd > 1 is outside this contract. For
+length-2 vectors, d_0 = w_1, d_1 = w_0, e_0 = d_1 and e_1 = d_0.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import DomainError, NonCoprimeError, as_tuple, check_ints
 from .record import Record
@@ -68,47 +71,21 @@ def make_weight_vector(raw: Iterable[int]) -> WeightVector:
     return WeightVector(w)
 
 
-def _omit_one_folds(values: tuple[int, ...], fold, unit: int) -> tuple[int, ...]:
-    """For every j, the fold of all entries except values[j].
-
-    A prefix scan and a suffix scan give out[j] = fold(prefix[j], suffix[j+1])
-    in O(n) fold calls. `unit` is the fold's identity (0 for gcd, 1 for lcm),
-    so a length-2 input gives each entry the other one.
-    """
-    n = len(values)
-    suffix = [unit] * (n + 1)
-    for j in range(n - 1, -1, -1):
-        suffix[j] = fold(values[j], suffix[j + 1])
-    out = []
-    prefix = unit
-    for j in range(n):
-        out.append(fold(prefix, suffix[j + 1]))
-        prefix = fold(prefix, values[j])
-    return tuple(out)
-
-
 def invariants(wv: WeightVector) -> WeightInvariants:
     """Compute all derived invariants of a weight vector.
 
-    The omit-one folds d and e each take O(n) gcd/lcm calls, from one prefix
-    and one suffix scan.
+    d comes from one prefix and one suffix gcd scan, and e_j = a_w // d_j,
+    since make_weight_vector's gcd(w) = 1 makes the d_j pairwise coprime.
     """
     w = wv.w
-    d = _omit_one_folds(w, math.gcd, 0)
-    e = _omit_one_folds(d, math.lcm, 1)
+    suffix = list(accumulate(reversed(w), math.gcd, initial=0))
+    d = tuple(map(math.gcd, accumulate(w, math.gcd, initial=0), suffix[-2::-1]))
     a_w = math.lcm(*d)
-
-    reduced_entries = []
-    for wj, ej in zip(w, e):
-        if wj % ej != 0:
-            # Mathematically impossible for a valid weight vector; treated as
-            # an internal inconsistency rather than silently truncated.
-            raise AssertionError(f"e_j={ej} does not divide w_j={wj} in {w}")
-        reduced_entries.append(wj // ej)
-    reduced = make_weight_vector(reduced_entries)
-
-    well_formed = all(dj == 1 for dj in d)
-    assert well_formed == (a_w == 1), f"well-formedness characterizations disagree on {w}"
+    e = tuple(map(a_w.__floordiv__, d))
+    quotients, remainders = zip(*map(divmod, w, e))
+    if any(remainders):  # impossible (lcm(d)/d_j divides w_j): a fault, not a truncation
+        raise AssertionError(f"e={e} does not divide w={w}")
+    reduced = make_weight_vector(quotients)
 
     return WeightInvariants(
         sum=sum(w),
@@ -117,7 +94,7 @@ def invariants(wv: WeightVector) -> WeightInvariants:
         e=e,
         a_w=a_w,
         reduced=reduced,
-        well_formed=well_formed,
+        well_formed=a_w == 1,
     )
 
 

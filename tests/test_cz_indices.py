@@ -74,6 +74,10 @@ def test_orbit_spec_recomputes_isotropy():
         orbit_spec(wv, [4])
     with pytest.raises(DomainError, match=r"support index 4 out of range 0\.\.3"):
         orbit_spec(wv, [0, 4])
+    with pytest.raises(DomainError, match=r"support index -1 out of range 0\.\.3"):
+        orbit_spec(wv, [-1])
+    with pytest.raises(DomainError, match=r"support index -2 out of range 0\.\.3"):
+        orbit_spec(wv, [0, -2])
 
 
 def test_mu_orbit_wps_refuses_an_unhashable_support_entry():

@@ -19,6 +19,7 @@ from czorb.cz_paths import (
     det_winding,
     scalar_cz,
     scalar_index,
+    scalar_index_sum,
     unwrapped_winding_phase,
 )
 from czorb.errors import DomainError
@@ -42,6 +43,25 @@ def test_scalar_cz_examples():
 @pytest.mark.parametrize("g", [1, 2, 6, 35])
 def test_scalar_index_on_unreduced_pairs_matches_scalar_cz(num, den, g):
     assert scalar_index(num * g, den * g) == scalar_cz(Fraction(num, den))
+
+
+@given(st.lists(st.integers(1, 10**40), max_size=60), st.integers(1, 10**6))
+@settings(max_examples=300)
+def test_scalar_index_sum_matches_the_sum_of_scalar_indices(nums, den):
+    assert scalar_index_sum(nums, den) == sum(scalar_index(num, den) for num in nums)
+
+
+@pytest.mark.parametrize(
+    "nums, den, expected",
+    [
+        ([], 3, 0),
+        ([6, 12, 60], 3, 2 + 4 + 20),  # every ratio an even integer
+        ([2, 4, 8], 2, 1 + 2 + 4),  # ratios 1, 2, 4: some even, some not
+        ([1, 5, 7, 3], 3, 1 + 1 + 3 + 1),  # no ratio an even integer
+    ],
+)
+def test_scalar_index_sum_examples(nums, den, expected):
+    assert scalar_index_sum(nums, den) == expected
 
 
 def test_scalar_cz_rejects_nonpositive():

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -138,9 +139,7 @@ def test_area_times_degree_is_minus_one(wv):
     assert symplectic_area(wv) * math.prod(wv.w) == -1
 
 
-@given(clustered_weight_vectors())
-@settings(max_examples=300)
-def test_invariants_match_the_omit_one_definition(wv):
+def assert_invariants_match_the_omit_one_definition(wv):
     w = wv.w
     d = tuple(math.gcd(*_omit(w, j)) for j in range(len(w)))
     e = tuple(math.lcm(*_omit(d, j)) for j in range(len(d)))
@@ -150,3 +149,26 @@ def test_invariants_match_the_omit_one_definition(wv):
     assert inv.a_w == math.lcm(*d)
     assert inv.reduced.w == tuple(wj // ej for wj, ej in zip(w, e))
     assert inv.well_formed == all(dj == 1 for dj in d)
+
+
+@given(clustered_weight_vectors())
+@settings(max_examples=300)
+def test_invariants_match_the_omit_one_definition(wv):
+    assert_invariants_match_the_omit_one_definition(wv)
+
+
+@pytest.mark.parametrize("shared_prime", [None, 7])
+def test_invariants_of_a_long_vector_match_the_omit_one_definition(shared_prime):
+    # Built like the benchmark's long invariants inputs: 500 entries up to
+    # 10**4, and with a prime that divides every entry but one, so that one
+    # d_j is that prime and a_w > 1.
+    rng = random.Random(f"long/{shared_prime}")
+    w = [rng.randint(1, 10**4) for _ in range(500)]
+    if shared_prime is not None:
+        j0 = rng.randrange(len(w))
+        w = [x if j == j0 else x * shared_prime for j, x in enumerate(w)]
+        while w[j0] % shared_prime == 0:
+            w[j0] += 1
+    wv = make_weight_vector([x // math.gcd(*w) for x in w])
+    assert_invariants_match_the_omit_one_definition(wv)
+    assert invariants(wv).well_formed is (shared_prime is None)
