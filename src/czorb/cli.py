@@ -23,10 +23,13 @@ runs one record per line, and czorb.cli.run(record) one record in Python.
 Exit codes: 0 success, 1 usage, 2 domain/validation, 3 uncovered case,
 4 numeric convergence, 5 failed verify check, 6 internal error. A verify
 result with "ok": false is printed as usual and exits 5; in a batch the
-records after it still run. A batch record whose computation raises an
-exception that is not a czorb error becomes an `internal` error record
-naming the exception type, and the next record runs. A batch run exits with
-the highest code among its records. Rationals are written p/q on input and
+records after it still run. A computation that raises an exception that is
+not a czorb error is an `internal` error naming the exception type, with
+its traceback on stderr: on argv it exits 6, and in a batch it is the
+record's error and the next record runs. A batch line that is not JSON,
+including the NaN and Infinity tokens that Python's json reads, is a
+`malformed` record. A batch run exits with the highest code among its
+records. Rationals are written p/q on input and
 serialized as {"num": p, "den": q} in JSON output; all JSON is emitted with
 sorted keys and compact separators so records round-trip byte for byte.
 """
@@ -214,8 +217,8 @@ def _report_payload(report: CZReport) -> dict:
         "branch": report.branch.value,
         "extrapolated": report.extrapolated,
         "b_constant": report.b_constant,
-        "notes": list(report.notes),
         "formula": BRANCH_FORMULAS[report.branch],
+        "notes": list(report.notes),
     }
 
 
@@ -311,13 +314,8 @@ def compute_verify_scalar(T: Fraction) -> dict:
 # ---------------------------------------------------------------------------
 # human rendering
 
-def _kv_lines(pairs) -> list[str]:
-    width = max(len(key) for key, _ in pairs)
-    return [f"{key.ljust(width)}  {value}" for key, value in pairs]
-
-
 def _text(value):
-    """A payload value as the human renderers print it."""
+    """A payload value as `_render` prints it."""
     if isinstance(value, dict):
         return str(Fraction(value["num"], value["den"]))
     if isinstance(value, list):
@@ -327,24 +325,26 @@ def _text(value):
     return value
 
 
-def _render_weights(payload: dict) -> list[str]:
-    keys = ("weights", "sum", "product", "d", "e", "a_w", "reduced", "well_formed", "symplectic_area")
-    labels = {"well_formed": "well-formed", "symplectic_area": "symplectic-area"}
-    return _kv_lines([(labels.get(key, key), _text(payload[key])) for key in keys])
+_LABELS = {"well_formed": "well-formed", "symplectic_area": "symplectic-area", "b_constant": "b"}
 
 
-def _render_cz(payload: dict) -> list[str]:
-    keys = ("weights", "degrees", "exponents", "support", "index", "branch", "extrapolated")
-    pairs = [(key, _text(payload[key])) for key in keys if key in payload]
-    if payload["b_constant"] is not None:
-        pairs.append(("b", payload["b_constant"]))
-    pairs.append(("formula", payload["formula"]))
-    pairs += [("note", note) for note in payload["notes"]]
-    return _kv_lines(pairs)
+def _render(payload: dict) -> list[str]:
+    """Aligned key/value lines of a payload, in insertion order (sorted for
+    a verify payload). A None value is skipped, and each note gets its own
+    `note` line."""
+    pairs = []
+    for key in sorted(payload) if "check" in payload else payload:
+        value = payload[key]
+        if key == "notes":
+            pairs += [("note", note) for note in value]
+        elif value is not None:
+            pairs.append((_LABELS.get(key, key), _text(value)))
+    width = max(len(key) for key, _ in pairs)
+    return [f"{key.ljust(width)}  {value}" for key, value in pairs]
 
 
 def _render_teardrop(payload: dict) -> list[str]:
-    lines = _kv_lines([(key, _text(payload[key])) for key in ("m", "chern", "p_star")])
+    lines = _render({key: payload[key] for key in ("m", "chern", "p_star")})
     if "table" in payload:
         lines.append("q   homology  cohomology")
         for row in payload["table"]:
@@ -353,10 +353,6 @@ def _render_teardrop(payload: dict) -> list[str]:
         lines.append(f"H_{payload['degree']}   = {payload['homology']}")
         lines.append(f"H^{payload['degree']}   = {payload['cohomology']}")
     return lines
-
-
-def _render_verify(payload: dict) -> list[str]:
-    return _kv_lines([(key, _text(payload[key])) for key in sorted(payload)])
 
 
 # ---------------------------------------------------------------------------
@@ -380,27 +376,27 @@ _ALLOW = Field(
 )
 
 OPERATIONS = (
-    Operation("weights", None, "weights", compute_weights, _render_weights, (
+    Operation("weights", None, "weights", compute_weights, _render, (
         Field("weights", INTS, argv="weights", help="comma-separated weights, e.g. 4,4,5,14"),
     )),
-    Operation("wps", None, "cz principal", compute_principal_wps, _render_cz, (_WPS,)),
-    Operation("wci", None, "cz principal", compute_principal_wci, _render_cz, (
+    Operation("wps", None, "cz principal", compute_principal_wps, _render, (_WPS,)),
+    Operation("wci", None, "cz principal", compute_principal_wci, _render, (
         _WCI, Field("degrees", INTS, help="complete-intersection multidegree (with --wci)"),
     )),
-    Operation("brieskorn", None, "cz principal", compute_principal_brieskorn, _render_cz, (_BRIESKORN,)),
-    Operation("orbit-wps", None, "cz orbit", compute_orbit_wps, _render_cz, (_WPS, _SUPPORT, _ALLOW)),
-    Operation("orbit-brieskorn", None, "cz orbit", compute_orbit_brieskorn, _render_cz, (_BRIESKORN, _SUPPORT, _ALLOW)),
+    Operation("brieskorn", None, "cz principal", compute_principal_brieskorn, _render, (_BRIESKORN,)),
+    Operation("orbit-wps", None, "cz orbit", compute_orbit_wps, _render, (_WPS, _SUPPORT, _ALLOW)),
+    Operation("orbit-brieskorn", None, "cz orbit", compute_orbit_brieskorn, _render, (_BRIESKORN, _SUPPORT, _ALLOW)),
     Operation("teardrop", None, "teardrop", compute_teardrop, _render_teardrop, (
         Field("degree", INT, None, help="single degree instead of the full table"),
         Field("m", INT, argv="m", help="cone point order, m >= 2"),
     )),
-    Operation("verify", "lemma42", "verify lemma42", compute_verify_lemma42, _render_verify, (
+    Operation("verify", "lemma42", "verify lemma42", compute_verify_lemma42, _render, (
         Field("tol", NUMBER, 1e-8), Field("w0", INT), Field("w1", INT),
     )),
-    Operation("verify", "winding", "verify winding", compute_verify_winding, _render_verify, (
+    Operation("verify", "winding", "verify winding", compute_verify_winding, _render, (
         Field("samples", INT, None), Field("rates", INTS),
     )),
-    Operation("verify", "scalar-cz", "verify scalar-cz", compute_verify_scalar, _render_verify, (
+    Operation("verify", "scalar-cz", "verify scalar-cz", compute_verify_scalar, _render, (
         Field("T", RATIONAL, help="duration, e.g. 7/2"),
     )),
 )
@@ -466,17 +462,54 @@ def run(record: dict) -> dict:
 # ---------------------------------------------------------------------------
 # batch mode
 
+def _refuse_constant(token: str):
+    # json reads NaN, Infinity and -Infinity, which are not JSON (RFC 8259)
+    # and would be echoed in an id; refused as invalid JSON.
+    raise json.JSONDecodeError(f"{token} is not JSON", token, 0)
+
+
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+
+
 def _malformed(lineno: int, msg: str) -> tuple[dict, int]:
     error = {"type": "malformed", "message": f"line {lineno}: {msg}"}
     return {"id": None, "kind": None, "status": "error", "error": error}, 2
 
 
+def _error(exc: CzorbError) -> tuple[dict, int]:
+    return {"status": "error", "error": _error_payload(exc)}, exc.exit_code
+
+
+def _outcome(record, where: str) -> tuple[dict, int]:
+    """Compute one record: {"status": "ok", "result": payload} and exit code
+    0, or 5 when the payload holds "ok": false; or {"status": "error",
+    "error": payload} and the error's exit code. An exception that is not a
+    czorb error is a fault in czorb, not in the record: it is reported as an
+    `internal` error (exit 6), with its traceback on stderr. `where` begins
+    the messages that name the record, "line N: " in a batch.
+    """
+    try:
+        if not isinstance(record, dict):
+            raise DomainError(f"{where}record must be a JSON object")
+        result = run(record)
+    except CzorbError as exc:
+        return _error(exc)
+    except Exception as exc:
+        # Imported here: only this branch needs traceback, which would add
+        # linecache and tokenize to every import of czorb.cli.
+        import traceback
+
+        traceback.print_exception(type(exc), exc, exc.__traceback__, file=sys.stderr)
+        error = {"type": "internal", "message": f"{where}{type(exc).__name__}: {exc}"}
+        return {"status": "error", "error": error}, EXIT_INTERNAL
+    return {"status": "ok", "result": result}, EXIT_CHECK_FAILED if result.get("ok") is False else 0
+
+
 def _run_line(lineno: int, line: str) -> tuple[dict, int]:
     """The output record of one batch line, and its exit code."""
-    rec_id = kind = None
     try:
         line.encode("utf-8")  # a byte the file's decoding escaped fails here
-        rec = json.loads(line)
+        rec = _DECODER.decode(line)
     except (ValueError, RecursionError) as exc:
         # Python's own wording of these errors differs between versions, so
         # the message is czorb's. json raises the int-string digit limit as a
@@ -491,25 +524,9 @@ def _run_line(lineno: int, line: str) -> tuple[dict, int]:
         else:
             msg = "nested too deeply"
         return _malformed(lineno, msg)
-    try:
-        if not isinstance(rec, dict):
-            raise DomainError(f"line {lineno}: record must be a JSON object")
-        rec_id, kind = rec.get("id"), rec.get("kind")
-        result = run(rec)
-    except CzorbError as exc:
-        return {"id": rec_id, "kind": kind, "status": "error", "error": _error_payload(exc)}, exc.exit_code
-    except Exception as exc:
-        # A fault in czorb, not in the record: report it with its traceback
-        # on stderr and go on with the next record. Imported here: only this
-        # branch needs traceback, which would add linecache and tokenize to
-        # every import of czorb.cli.
-        import traceback
-
-        traceback.print_exception(type(exc), exc, exc.__traceback__, file=sys.stderr)
-        error = {"type": "internal", "message": f"line {lineno}: {type(exc).__name__}: {exc}"}
-        return {"id": rec_id, "kind": kind, "status": "error", "error": error}, EXIT_INTERNAL
-    code = EXIT_CHECK_FAILED if result.get("ok") is False else 0
-    return {"id": rec_id, "kind": kind, "status": "ok", "result": result}, code
+    rec_id, kind = (rec.get("id"), rec.get("kind")) if isinstance(rec, dict) else (None, None)
+    out, code = _outcome(rec, f"line {lineno}: ")
+    return {"id": rec_id, "kind": kind, **out}, code
 
 
 def _batch_text(out: dict, as_json: bool) -> str:
@@ -545,9 +562,8 @@ def _run_batch(args) -> int:
             except ValueError:
                 # The answer holds an integer too long for str(); json
                 # raises that as a plain ValueError.
-                exc = _too_long()
-                out = {"id": out["id"], "kind": out["kind"], "status": "error", "error": _error_payload(exc)}
-                code = exc.exit_code
+                error, code = _error(_too_long())
+                out = {"id": out["id"], "kind": out["kind"], **error}
                 text = _batch_text(out, args.json)
             worst = max(worst, code)
             print(text)
@@ -638,23 +654,23 @@ def main(argv=None) -> int:
 
     try:
         op, record = _argv_record(args)
-        payload = run(record)
-        try:
-            lines = [dumps(payload)] if args.json else op.render(payload)
-        except ValueError:
-            raise _too_long() from None
     except UsageError as exc:
         print(f"czorb: error: {exc}", file=sys.stderr)
         return 1
-    except CzorbError as exc:
+    out, code = _outcome(record, "")
+    if "result" in out:
+        try:
+            lines = [dumps(out["result"])] if args.json else op.render(out["result"])
+        except ValueError:
+            out, code = _error(_too_long())
+    if "error" in out:
         if args.json:
-            print(dumps({"error": _error_payload(exc)}))
-        print(f"czorb: {exc}", file=sys.stderr)
-        return exc.exit_code
-
+            print(dumps({"error": out["error"]}))
+        print(f"czorb: {out['error']['message']}", file=sys.stderr)
+        return code
     for line in lines:
         print(line)
-    return EXIT_CHECK_FAILED if payload.get("ok") is False else 0
+    return code
 
 
 def entry_point() -> None:

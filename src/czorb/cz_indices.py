@@ -30,7 +30,7 @@ from itertools import compress
 
 # scalar_cz is not called here; the benchmark tracer patches
 # czorb.cz_indices.scalar_cz, and every patch point must resolve.
-from .cz_paths import scalar_cz, scalar_index, scalar_index_sum  # noqa: F401
+from .cz_paths import scalar_cz, scalar_index  # noqa: F401
 from .errors import DomainError, UncoveredCaseError, check_ints
 from .record import Record
 from .spaces import BrieskornExponents, Space, WCISpace, WPSpace, b_constant, brieskorn_to_wci
@@ -119,8 +119,10 @@ def _reduced_index(
     """Index of the orbit on the support s with isotropy d > 1, and whether
     any term was extrapolated: the stratum P(w_S/d), of degree degree/d, adds
     2*(sum_{j in S} w_j/d - degree/d), and each coordinate k outside s adds
-    the scalar index of duration w_k/d (scalar_index_sum); d divides every
-    supported weight, so the stratum term is exact.
+    scalar_index(w_k, d), the scalar index of duration w_k/d. With
+    r_k = w_k mod 2*d those terms add up to (sum_k w_k - sum_k r_k)/d plus
+    the count of r_k != 0, and d divides every supported weight and the
+    degree, so the whole sum is one exact division.
 
     The even-integer duration is a closed transverse loop, which no covered
     case adjudicates; it is refused unless extrapolation was requested. Only
@@ -133,9 +135,10 @@ def _reduced_index(
     for j in s:
         outside[j] = False
     transverse = list(compress(w, outside))
-    total = 2 * ((sum(w) - sum(transverse)) // d - degree // d) + scalar_index_sum(transverse, d)
     period = 2 * d
-    if 0 not in [wk % period for wk in transverse]:
+    r = [wk % period for wk in transverse]
+    total = (2 * (sum(w) - degree) - sum(transverse) - sum(r)) // d + len(r) - r.count(0)
+    if 0 not in r:
         return total, False
     for k, wk in enumerate(w):
         if wk % period or k in s:

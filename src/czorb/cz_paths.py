@@ -6,29 +6,33 @@ The closed form for the unit-rate scalar path t -> exp(i*pi*t) on [0, T] is
     2*floor(T/2)+1  otherwise,
 
 and a path of rate lambda on [0, T] reparametrizes to the unit-rate path on
-[0, lambda*T]. scalar_index computes it in integers for T = num/den, and
-scalar_index_sum adds it up over many num with one den in bulk, as
-(sum(num) - sum(r))/den plus the count of r != 0, with r = num mod 2*den.
-Two independent oracles live here as well:
+[0, lambda*T]; scalar_index computes it in integers for T = num/den. Two
+independent oracles live here as well:
 
 - crossing enumeration for the scalar formula: every crossing time is
   visited, so the count does not use the floor formula;
 - determinant winding for loops of diagonal unitaries: the product of one
-  root of unity per rate is formed at every sample of [0, 1/8] when 4
-  divides the sample count, of [0, 1/4] when it is 2 (mod 4) and of
-  [0, 1/2] when it is odd, and its phase unwrapped. An integer-rate loop
-  P(t) has the exact symmetries P(t + 1/g) = c * P(t) and
-  P(1/g - t) = c * conj(P(t)) with c = exp(2*pi*i*sum(r_j)/g); c cancels in
-  every phase increment, so the increments of one fold give all the others.
-  A shift is used only where the grid has it and c is exact in floats: by
-  1/4 (c = +-1 or +-i, a sign or a swap of the parts) when 4 | N, by 1/2
-  (c = +-1) when N = 2 (mod 4), and only the reflection
-  P(1 - t) = conj(P(t)) for odd N. The shift by 1/8 is not used, since its
-  c = exp(i*pi*sum(r_j)/4) is not exact in floats. Likewise the root table
-  computes one octant (a quadrant for N = 2 (mod 4), half for odd N) and
-  fills the rest by exact swaps and mirrors. Every factor is multiplied at
-  every formed sample, and the closed form, the sum of the signed rates,
-  is never computed.
+  root of unity per rate is formed on one fold of [0, 1] and its phase
+  unwrapped. Every factor is multiplied at every formed sample, and the
+  closed form, the sum of the signed rates, is never computed.
+
+The fold rule. An integer-rate loop P(t) = prod_j exp(2*pi*i*r_j*t),
+sampled at t = k/N, has the exact symmetries P(t + 1/g) = c * P(t) and
+P(1/g - t) = c * conj(P(t)) with c = exp(2*pi*i*sum(r_j)/g). The shift makes
+the phase increments arg(P_k / P_{k-1}) periodic with period L = N/g, and
+the reflection makes the increments within one period a palindrome; c
+cancels in every increment and is never needed. A shift is used only where
+the grid has it and c is exact in floats: g = 4 when 4 | N (L = N/4,
+c = +-1 or +-i, a sign or a swap of the parts), g = 2 when N = 2 (mod 4)
+(L = N/2, c = +-1), and for odd N only the reflection P(1 - t) = conj(P(t))
+(L = N). So the products are formed at k = 0..ceil(L/2) only, on [0, 1/8],
+[0, 1/4] or [0, 1/2]. The shift by 1/8 is not used: its
+c = exp(i*pi*sum(r_j)/4) is not exact in floats, and a shift carried to its
+end leaves the single increment N * arg(prod_j exp(2*pi*i*r_j/N)) / (2*pi),
+the sum of the rates in disguise. Likewise the root table computes one
+octant when 4 | N (a quadrant for N = 2 (mod 4), half for odd N) and fills
+the rest by exact swaps and mirrors, so every product the kernel skips is
+exactly c * P_k or c * conj(P_k) for a product P_k it forms.
 """
 
 from __future__ import annotations
@@ -67,15 +71,6 @@ def scalar_index(num: int, den: int) -> int:
     return 2 * q + (r != 0)
 
 
-def scalar_index_sum(nums: list[int], den: int) -> int:
-    """sum(scalar_index(num, den) for num in nums), 0 for an empty list:
-    with r = num mod 2*den, the 2*q terms add up to exactly
-    (sum(nums) - sum(r)) // den, and each r != 0 adds one."""
-    period = 2 * den
-    r = [num % period for num in nums]
-    return (sum(nums) - sum(r)) // den + len(r) - r.count(0)
-
-
 def scalar_cz(T: RationalLike) -> int:
     """Index of the unit-rate scalar path on [0, T]."""
     T = _positive_duration(T, "scalar_cz")
@@ -109,10 +104,6 @@ class WindingResult(Record):
     __slots__ = ("winding", "residual", "samples")
 
 
-# Samples per block: the root table is the only list of the sample count's size.
-_BLOCK = 4096
-
-
 def _strided(table: list, start: int, step: int, count: int) -> list:
     """table[(start + i*step) % len(table)] for i in range(count), gathered
     by slices that wrap around the end of the table; step != 0."""
@@ -126,7 +117,8 @@ def _strided(table: list, start: int, step: int, count: int) -> list:
 
 
 def _roots(n: int) -> list:
-    """The N-th roots of unity, root[m] = exp(2*pi*i*m/N) for m = 0..N-1.
+    """The N-th roots of unity, root[m] = exp(2*pi*i*m/N) for m = 0..N-1,
+    built for the fold rule of the module docstring.
 
     When 4 | N only the first octant costs cos/sin pairs, m = 0..floor(N/8).
     When 8 | N, root[N/8] is set to complex(sqrt(1/2), sqrt(1/2)), which is
@@ -159,58 +151,31 @@ def _roots(n: int) -> list:
 def unwrapped_winding_phase(rates, samples: int) -> float:
     """Total unwrapped phase of t -> prod_j exp(2*pi*i*r_j*t) over [0, 1].
 
-    Samples the product at the points t = k/N, k = 0..N with N = samples.
-    Each factor is read from one table of the N-th roots of unity, `_roots`:
-    rate r at sample k is root[(r*k) % N], an exact integer reduction.
+    Samples the product at the points t = k/N, k = 0..N with N = samples,
+    folded by the rule of the module docstring: the product is formed,
+    factor by factor, only at k = 0..ceil(L/2). Each factor is read from one
+    table of the N-th roots of unity, `_roots`: rate r at sample k is
+    root[(r*k) % N], an exact integer reduction. Increments 1..floor(L/2)
+    count twice, for odd L the middle increment, its own mirror, once, and
+    the period's sum counts N/L times.
 
-    An integer-rate loop has the exact symmetries P(t + 1/g) = c * P(t) and
-    P(1/g - t) = c * conj(P(t)) with c = exp(2*pi*i*sum(r_j)/g). The shift
-    makes the phase increments arg(P_k / P_{k-1}) periodic with period
-    L = N/g, and the reflection makes the increments within one period a
-    palindrome. The kernel takes g = 4 when 4 | N (L = N/4, c = +-1 or +-i),
-    g = 2 when N = 2 (mod 4) (L = N/2, c = +-1) and, for odd N, only the
-    reflection about t = 1/2 (L = N, c = 1). The product is therefore
-    formed, factor by factor, only at the samples k = 0..ceil(L/2), that is
-    on [0, 1/8], [0, 1/4] or [0, 1/2]; increments 1..floor(L/2) count
-    twice, for odd L the middle increment, its own mirror, once, and the
-    period's sum counts N/L times. The factor c cancels in every ratio, so
-    it is never needed and the rates are never added. With the table of
-    `_roots`, every product the kernel skips is c * P_k or c * conj(P_k)
-    for a product P_k it forms, exactly: +-1 flips signs and +-i swaps the
-    parts and flips a sign, so no rounding of the table or of the products
-    enters the fold.
-
-    The fold stops where exactness ends. The shift by 1/8 would need
-    c = exp(i*pi*sum(r_j)/4), which is not exact in floats, so its skipped
-    products would not be exact rotations of formed ones; and a shift by
-    1/g carried to its end leaves the single increment
-    N * arg(prod_j exp(2*pi*i*r_j/N)) / (2*pi), the sum of the rates in
-    disguise.
-
-    The increments are added with math.fsum, one block of samples at a time.
-    The caller gives integer rates, at least one, and a sampling dense
-    enough that the true step between consecutive samples stays below pi.
+    Beside the N-entry root table, each rate's column and the products hold
+    ceil(L/2) entries; the increments are added with one math.fsum. The
+    caller gives integer rates, at least one, and a sampling dense enough
+    that the true step between consecutive samples stays below pi.
     """
     n = samples
     period = n if n % 2 else n // 4 if n % 4 == 0 else n // 2
     half = period // 2
     last = period - half  # ceil(L/2), the last sample whose product is formed
     roots = _roots(n)
-    block_sums = []
-    middle = 0.0
-    prev = roots[0]  # P_0 = 1
-    for k0 in range(1, last + 1, _BLOCK):
-        count = min(_BLOCK, last + 1 - k0)
-        prod = None
-        for r in rates:
-            values = _strided(roots, r * k0, r, count) if r else [roots[0]] * count
-            prod = values if prod is None else list(map(operator.mul, prod, values))
-        steps = list(map(cmath.phase, map(operator.truediv, prod, itertools.chain((prev,), prod))))
-        if k0 + count - 1 > half:  # odd L: this block ends at the middle sample
-            middle = steps.pop()
-        block_sums.append(math.fsum(steps))
-        prev = prod[-1]
-    return n // period * (2.0 * math.fsum(block_sums) + middle)
+    prod = None
+    for r in rates:
+        column = _strided(roots, r, r, last) if r else [roots[0]] * last
+        prod = column if prod is None else list(map(operator.mul, prod, column))
+    steps = list(map(cmath.phase, map(operator.truediv, prod, itertools.chain((roots[0],), prod))))
+    middle = steps.pop() if last > half else 0.0  # odd L: the middle increment
+    return n // period * (2.0 * math.fsum(steps) + middle)
 
 
 def det_winding(
@@ -221,16 +186,11 @@ def det_winding(
 
     The check is independent of the closed form sum(r_j): the kernel,
     `unwrapped_winding_phase`, multiplies one unit complex number per rate at
-    every sample of [0, 1/8] (of [0, 1/4] for a sample count that is
-    2 (mod 4), of [0, 1/2] for an odd one) and unwraps the phase of the
-    product, and the winding is the rounded number of turns. The signed sum
-    of the rates is never computed; only sum(|r_j|) enters, as the sample
-    count. What the kernel relies on are the shift P(t + 1/4) = c * P(t)
-    and the reflection P(1/4 - t) = c * conj(P(t)) with c = +-1 or +-i (by
-    1/2 with c = +-1 for N = 2 (mod 4)), which hold because the rates are
-    integers, as checked here: c cancels in every phase increment, so the
-    increments on [0, 1/8] give those on the rest of [0, 1]. Shifts by 1/2
-    and 1/4 are exact in floats; a shift by 1/8 is not, and is not used.
+    every sample of one fold of [0, 1] and unwraps the phase of the product,
+    and the winding is the rounded number of turns. The signed sum of the
+    rates is never computed; only sum(|r_j|) enters, as the sample count.
+    The fold (module docstring) holds because the rates are integers, as
+    checked here.
 
     `samples` defaults to the minimum 4*sum(|r_j|) + 16, which keeps the true
     phase step between samples below pi and makes the unwrap exact up to

@@ -74,6 +74,11 @@ lines = st.lists(
 )
 
 
+def not_json_constant(token):
+    # NaN, Infinity and -Infinity are not JSON; an answer must not hold them.
+    raise ValueError(f"answer holds {token}, which is not JSON")
+
+
 @pytest.fixture(autouse=True)
 def _default_eval_budget(monkeypatch):
     monkeypatch.delenv("CZORB_EVAL_BUDGET", raising=False)
@@ -94,7 +99,7 @@ def test_batch_answers_every_line_with_one_json_object(batch):
     finally:
         os.unlink(path)
     assert elapsed < WALL_CLOCK_S
-    answers = [json.loads(text) for text in out.getvalue().splitlines()]
+    answers = [json.loads(text, parse_constant=not_json_constant) for text in out.getvalue().splitlines()]
     assert len(answers) == len(batch)
     for line, answer in zip(batch, answers):
         assert isinstance(answer, dict)

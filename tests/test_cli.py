@@ -278,6 +278,20 @@ def test_batch_reports_an_internal_error_and_runs_the_next_record(capsys, tmp_pa
         run({"kind": "teardrop", "m": 3})
 
 
+@pytest.mark.parametrize("as_json", [False, True])
+def test_argv_reports_an_internal_error_and_exits_6(capsys, monkeypatch, as_json):
+    def boom(space):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "mu_principal", boom)
+    code, out, err = run_cli(capsys, "cz", "principal", "--wps", "1,2,3", *(["--json"] if as_json else []))
+    assert code == 6
+    error = {"type": "internal", "message": "RuntimeError: boom"}
+    assert out == (dumps({"error": error}) + "\n" if as_json else "")
+    assert "Traceback" in err
+    assert err.endswith("czorb: RuntimeError: boom\n")
+
+
 def test_batch_refuses_values_outside_the_float_range(capsys, tmp_path):
     records = [
         {"id": "rate", "kind": "verify", "check": "winding", "rates": [10**400]},
@@ -405,6 +419,25 @@ def test_batch_line_that_is_not_utf8_is_malformed(capsys, tmp_path):
         "error": {"type": "malformed", "message": "line 2: not valid UTF-8"},
     }
     assert [recs[0]["id"], recs[2]["id"]] == ["a", "b"]
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_batch_line_with_a_nan_or_infinity_token_is_malformed(capsys, tmp_path, token):
+    # json.loads reads these tokens, but they are not JSON and must not be
+    # echoed in the id of a canonical JSON answer.
+    path = tmp_path / "constants.ndjson"
+    path.write_text(
+        f'{{"id":{token},"kind":"wps","weights":[1,2]}}\n'
+        f'{{"id":"x","kind":"verify","check":"lemma42","w0":2,"w1":3,"tol":{token}}}\n'
+        '{"id":"good","kind":"teardrop","m":3}\n'
+    )
+    code, out, _ = run_cli(capsys, "batch", str(path), "--json")
+    assert code == 2
+    lines = out.splitlines()
+    for lineno in (1, 2):
+        error = {"type": "malformed", "message": f"line {lineno}: not valid JSON"}
+        assert lines[lineno - 1] == dumps({"id": None, "kind": None, "status": "error", "error": error})
+    assert json.loads(lines[2])["status"] == "ok"
 
 
 def test_batch_line_over_the_int_digit_limit_is_malformed(capsys, tmp_path):

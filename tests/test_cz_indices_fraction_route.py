@@ -10,6 +10,7 @@ library on every input.
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -205,3 +206,35 @@ def test_the_strategies_reach_even_ratios_and_refusals():
         got = outcome(mu_orbit_brieskorn, be, [0, 1, 2], allow)
         assert got == outcome(fraction_orbit_brieskorn, be, [0, 1, 2], allow)
         assert isinstance(got, CZReport) == allow
+
+
+BIG = 10**40 + 7  # odd, so 2*BIG divides no odd multiple of BIG
+
+
+@pytest.mark.parametrize("allow_extrapolation", [False, True])
+@pytest.mark.parametrize(
+    "w, support",
+    [
+        # transverse ratios 9, (BIG + 2)/BIG and 1/BIG: none an even integer
+        ([3 * BIG, 5 * BIG, 9 * BIG, BIG + 2, 1], [0, 1]),
+        # adds the even ratio 14
+        ([3 * BIG, 5 * BIG, 14 * BIG, 9 * BIG, 1], [1, 0]),
+    ],
+)
+def test_mu_orbit_wps_matches_the_fraction_route_on_big_weights(w, support, allow_extrapolation):
+    expected = outcome(fraction_orbit_wps, w, support, allow_extrapolation)
+    assert outcome(mu_orbit_wps, w, support, allow_extrapolation) == expected
+
+
+@pytest.mark.parametrize("allow_extrapolation", [False, True])
+@pytest.mark.parametrize(
+    "a",
+    [
+        [BIG, BIG, BIG, 2 * BIG, 2 * BIG],  # l = 2*BIG, weights 2,2,2,1,1: odd ratios 1/2
+        [2 * BIG, 2 * BIG, 2 * BIG, BIG, 4],  # l = 4*BIG, weights 2,2,2,4,BIG: ratios 2 and BIG/2
+    ],
+)
+def test_mu_orbit_brieskorn_matches_the_fraction_route_on_big_exponents(a, allow_extrapolation):
+    be = make_brieskorn_exponents(a)
+    expected = outcome(fraction_orbit_brieskorn, be, [0, 1, 2], allow_extrapolation)
+    assert outcome(mu_orbit_brieskorn, be, [0, 1, 2], allow_extrapolation) == expected

@@ -12,14 +12,12 @@ from hypothesis import strategies as st
 
 from czorb import cz_paths
 from czorb.cz_paths import (
-    _BLOCK,
     _roots,
     _strided,
     crossing_oracle_scalar,
     det_winding,
     scalar_cz,
     scalar_index,
-    scalar_index_sum,
     unwrapped_winding_phase,
 )
 from czorb.errors import DomainError
@@ -43,25 +41,6 @@ def test_scalar_cz_examples():
 @pytest.mark.parametrize("g", [1, 2, 6, 35])
 def test_scalar_index_on_unreduced_pairs_matches_scalar_cz(num, den, g):
     assert scalar_index(num * g, den * g) == scalar_cz(Fraction(num, den))
-
-
-@given(st.lists(st.integers(1, 10**40), max_size=60), st.integers(1, 10**6))
-@settings(max_examples=300)
-def test_scalar_index_sum_matches_the_sum_of_scalar_indices(nums, den):
-    assert scalar_index_sum(nums, den) == sum(scalar_index(num, den) for num in nums)
-
-
-@pytest.mark.parametrize(
-    "nums, den, expected",
-    [
-        ([], 3, 0),
-        ([6, 12, 60], 3, 2 + 4 + 20),  # every ratio an even integer
-        ([2, 4, 8], 2, 1 + 2 + 4),  # ratios 1, 2, 4: some even, some not
-        ([1, 5, 7, 3], 3, 1 + 1 + 3 + 1),  # no ratio an even integer
-    ],
-)
-def test_scalar_index_sum_examples(nums, den, expected):
-    assert scalar_index_sum(nums, den) == expected
 
 
 def test_scalar_cz_rejects_nonpositive():
@@ -230,12 +209,12 @@ def trig_loop_winding_phase(rates, samples):
 
 @given(
     st.lists(st.integers(-100, 100), min_size=1, max_size=24),
-    st.integers(0, 3 * _BLOCK),
+    st.integers(0, 12_288),
 )
 @settings(max_examples=60, deadline=None)
 def test_winding_kernel_matches_the_trig_loop(rates, extra):
-    # From the unwrap-safe minimum up to three more blocks, so sample counts
-    # that are not a multiple of the block size are drawn.
+    # From the unwrap-safe minimum up to 12 288 more samples, so columns of
+    # a few thousand entries are drawn.
     samples = 4 * sum(map(abs, rates)) + 16 + extra
     turns = unwrapped_winding_phase(rates, samples) / (2 * math.pi)
     assert round(turns) == round(trig_loop_winding_phase(rates, samples) / (2 * math.pi)) == sum(rates)
@@ -249,18 +228,12 @@ def full_loop_winding_phase(rates, samples):
     n = samples
     angle = 2.0 * math.pi / n
     roots = list(map(cmath.rect, itertools.repeat(1.0, n), map(angle.__mul__, range(n))))
-    block_sums = []
-    prev = roots[0]
-    for k0 in range(1, n + 1, _BLOCK):
-        count = min(_BLOCK, n + 1 - k0)
-        prod = None
-        for r in rates:
-            values = _strided(roots, r * k0, r, count) if r else [roots[0]] * count
-            prod = values if prod is None else list(map(operator.mul, prod, values))
-        steps = map(operator.truediv, prod, itertools.chain((prev,), prod))
-        block_sums.append(math.fsum(map(cmath.phase, steps)))
-        prev = prod[-1]
-    return math.fsum(block_sums)
+    prod = None
+    for r in rates:
+        values = _strided(roots, r, r, n) if r else [roots[0]] * n
+        prod = values if prod is None else list(map(operator.mul, prod, values))
+    steps = map(operator.truediv, prod, itertools.chain((roots[0],), prod))
+    return math.fsum(map(cmath.phase, steps))
 
 
 def assert_folded_matches_the_full_loop(rates, samples):
@@ -273,12 +246,12 @@ def assert_folded_matches_the_full_loop(rates, samples):
 
 @given(
     st.lists(st.integers(-100, 100), min_size=1, max_size=24),
-    st.integers(0, 3 * _BLOCK),
+    st.integers(0, 12_288),
 )
 @settings(max_examples=60, deadline=None)
 def test_half_loop_kernel_matches_the_full_loop(rates, extra):
     # Sample counts of every residue mod 4, from the unwrap-safe minimum up
-    # to three more blocks.
+    # to 12 288 more.
     assert_folded_matches_the_full_loop(rates, 4 * sum(map(abs, rates)) + 16 + extra)
 
 
@@ -291,18 +264,17 @@ def test_half_loop_kernel_matches_the_full_loop(rates, extra):
         ((0, 0, 9, 0), 53),  # all rates zero but one
         ((0, -3, 0), 29),
     ]
-    # ceil(L/2) at _BLOCK - 1, _BLOCK and _BLOCK + 1 from the odd N (L = N)
-    # among these; N = 2*_BLOCK + 1 leaves the middle increment alone in a
-    # block. The even N fold to about half a block.
-    + [((3, -1, 5), n) for n in range(2 * _BLOCK - 3, 2 * _BLOCK + 3)]
-    # ceil(L/2) at _BLOCK - 1, _BLOCK and _BLOCK + 1 from N = 4c - 2
-    # (L = 2c - 1); N = 4*_BLOCK + 2 leaves the middle increment alone in a
-    # block. N = 4c (L = c) folds to about half a block.
-    + [((3, -1, 5), n) for c in range(_BLOCK - 1, _BLOCK + 2) for n in (4 * c, 4 * c - 2)]
-    # ceil(L/2) at _BLOCK - 1, _BLOCK and _BLOCK + 1 from N = 8c (L = 2c)
-    # and N = 8c - 4 (L = 2c - 1); N = 8*_BLOCK + 4 leaves the middle
-    # increment alone in a block.
-    + [((3, -1, 5), n) for c in range(_BLOCK - 1, _BLOCK + 2) for n in (8 * c, 8 * c - 4)],
+    # Long columns: ceil(L/2) at 4095, 4096 and 4097 from the odd N (L = N)
+    # among these; N = 8193 forms a lone middle increment after 4096 pairs.
+    # The even N fold to 2048 samples or fewer.
+    + [((3, -1, 5), n) for n in range(8189, 8195)]
+    # ceil(L/2) at 4095, 4096 and 4097 from N = 4c - 2 (L = 2c - 1), with
+    # the lone middle increment at N = 16386. N = 4c (L = c) folds to about
+    # 2048 samples.
+    + [((3, -1, 5), n) for c in range(4095, 4098) for n in (4 * c, 4 * c - 2)]
+    # ceil(L/2) at 4095, 4096 and 4097 from N = 8c (L = 2c) and N = 8c - 4
+    # (L = 2c - 1), with the lone middle increment at N = 32772.
+    + [((3, -1, 5), n) for c in range(4095, 4098) for n in (8 * c, 8 * c - 4)],
 )
 def test_half_loop_kernel_edge_cases(rates, samples):
     assert_folded_matches_the_full_loop(rates, samples)
@@ -314,7 +286,7 @@ def test_half_loop_kernel_edge_cases(rates, samples):
         (4 * 15 + 16, 3 * 10),  # N = 76: L = 19
         (4 * 15 + 17, 3 * 39),  # N = 77: L = 77
         (4 * 15 + 18, 3 * 20),  # N = 78: L = 39
-        (2 * _BLOCK + 1, 3 * (_BLOCK + 1)),  # L = N
+        (8193, 3 * 4097),  # L = N
     ],
 )
 def test_winding_kernel_gathers_half_a_period(monkeypatch, samples, gathered):
@@ -336,7 +308,7 @@ def test_winding_kernel_gathers_half_a_period(monkeypatch, samples, gathered):
 
 
 def test_root_table_mirrors_are_exact():
-    for n in [*range(1, 130), 4 * _BLOCK, 4 * _BLOCK + 1, 4 * _BLOCK + 2, 9999]:
+    for n in [*range(1, 130), 16384, 16385, 16386, 9999]:
         roots = _roots(n)
         assert len(roots) == n
         assert all(abs(z - cmath.rect(1.0, 2 * math.pi * m / n)) < 1e-14 for m, z in enumerate(roots)), n
