@@ -11,7 +11,7 @@ Every subcommand is also a batch record kind with the same fields:
     cz orbit --brieskorn      orbit-brieskorn  exponents, support, allow_extrapolation
     teardrop                  teardrop         m, degree
     verify lemma42            verify           check, w0, w1, tol
-    verify winding            verify           check, rates, samples
+    verify winding            verify           check, rates
     verify scalar-cz          verify           check, T
 
 On argv a field is spelled `--` and its name with `-` for `_`
@@ -27,17 +27,19 @@ records after it still run. A computation that raises an exception that is
 not a czorb error is an `internal` error naming the exception type, with
 its traceback on stderr: on argv it exits 6, and in a batch it is the
 record's error and the next record runs. A batch line that is not JSON,
-including the NaN and Infinity tokens that Python's json reads, is a
-`malformed` record. A batch run exits with the highest code among its
-records. Rationals are written p/q on input and
-serialized as {"num": p, "den": q} in JSON output; all JSON is emitted with
-sorted keys and compact separators so records round-trip byte for byte.
+including the NaN and Infinity tokens that Python's json reads and a
+number past the float range such as 1e400, is a `malformed` record. A
+batch run exits with the highest code among its records. Rationals are
+written p/q on input and serialized as {"num": p, "den": q} in JSON output;
+all JSON is emitted with sorted keys and compact separators so records
+round-trip byte for byte.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from collections import namedtuple
@@ -286,8 +288,8 @@ def compute_verify_lemma42(w0: int, w1: int, tol: float) -> dict:
     }
 
 
-def compute_verify_winding(rates: list[int], samples: int | None) -> dict:
-    result = det_winding(rates, samples, _eval_budget())
+def compute_verify_winding(rates: list[int]) -> dict:
+    result = det_winding(rates, _eval_budget())
     return {
         "check": "winding",
         "rates": list(rates),
@@ -393,9 +395,7 @@ OPERATIONS = (
     Operation("verify", "lemma42", "verify lemma42", compute_verify_lemma42, _render, (
         Field("tol", NUMBER, 1e-8), Field("w0", INT), Field("w1", INT),
     )),
-    Operation("verify", "winding", "verify winding", compute_verify_winding, _render, (
-        Field("samples", INT, None), Field("rates", INTS),
-    )),
+    Operation("verify", "winding", "verify winding", compute_verify_winding, _render, (Field("rates", INTS),)),
     Operation("verify", "scalar-cz", "verify scalar-cz", compute_verify_scalar, _render, (
         Field("T", RATIONAL, help="duration, e.g. 7/2"),
     )),
@@ -468,7 +468,16 @@ def _refuse_constant(token: str):
     raise json.JSONDecodeError(f"{token} is not JSON", token, 0)
 
 
-_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+def _finite_float(literal: str) -> float:
+    # A literal past the float range, such as 1e400, reads as the same inf
+    # that the Infinity token gives, and is refused the same way.
+    value = float(literal)
+    if math.isinf(value):
+        raise json.JSONDecodeError(f"{literal} is past the float range", literal, 0)
+    return value
+
+
+_DECODER = json.JSONDecoder(parse_float=_finite_float, parse_constant=_refuse_constant)
 
 
 def _malformed(lineno: int, msg: str) -> tuple[dict, int]:

@@ -17,22 +17,19 @@ independent oracles live here as well:
   closed form, the sum of the signed rates, is never computed.
 
 The fold rule. An integer-rate loop P(t) = prod_j exp(2*pi*i*r_j*t),
-sampled at t = k/N, has the exact symmetries P(t + 1/g) = c * P(t) and
-P(1/g - t) = c * conj(P(t)) with c = exp(2*pi*i*sum(r_j)/g). The shift makes
-the phase increments arg(P_k / P_{k-1}) periodic with period L = N/g, and
-the reflection makes the increments within one period a palindrome; c
-cancels in every increment and is never needed. A shift is used only where
-the grid has it and c is exact in floats: g = 4 when 4 | N (L = N/4,
-c = +-1 or +-i, a sign or a swap of the parts), g = 2 when N = 2 (mod 4)
-(L = N/2, c = +-1), and for odd N only the reflection P(1 - t) = conj(P(t))
-(L = N). So the products are formed at k = 0..ceil(L/2) only, on [0, 1/8],
-[0, 1/4] or [0, 1/2]. The shift by 1/8 is not used: its
-c = exp(i*pi*sum(r_j)/4) is not exact in floats, and a shift carried to its
-end leaves the single increment N * arg(prod_j exp(2*pi*i*r_j/N)) / (2*pi),
-the sum of the rates in disguise. Likewise the root table computes one
-octant when 4 | N (a quadrant for N = 2 (mod 4), half for odd N) and fills
-the rest by exact swaps and mirrors, so every product the kernel skips is
-exactly c * P_k or c * conj(P_k) for a product P_k it forms.
+sampled at t = k/N with 4 | N, has the exact symmetries
+P(t + 1/4) = c * P(t) and P(1/4 - t) = c * conj(P(t)) with
+c = i**sum(r_j), which is +-1 or +-i: a sign or a swap of the parts, exact
+in floats. The shift makes the phase increments arg(P_k / P_{k-1})
+periodic with period L = N/4, and the reflection makes the increments
+within one period a palindrome; c cancels in every increment and is never
+needed. So the products are formed at k = 0..ceil(L/2) only, on [0, 1/8].
+The shift by 1/8 is not used: its c = exp(i*pi*sum(r_j)/4) is not exact in
+floats, and a shift carried to its end leaves the single increment
+N * arg(prod_j exp(2*pi*i*r_j/N)) / (2*pi), the sum of the rates in
+disguise. Likewise the root table computes one octant and fills the rest
+by exact swaps and mirrors, so every product the kernel skips is exactly
+c * P_k or c * conj(P_k) for a product P_k it forms.
 """
 
 from __future__ import annotations
@@ -118,33 +115,27 @@ def _strided(table: list, start: int, step: int, count: int) -> list:
 
 def _roots(n: int) -> list:
     """The N-th roots of unity, root[m] = exp(2*pi*i*m/N) for m = 0..N-1,
-    built for the fold rule of the module docstring.
+    4 | N, built for the fold rule of the module docstring.
 
-    When 4 | N only the first octant costs cos/sin pairs, m = 0..floor(N/8).
-    When 8 | N, root[N/8] is set to complex(sqrt(1/2), sqrt(1/2)), which is
-    its own swap; cmath.rect leaves its two parts an ulp apart. The rest of
-    the quadrant is the exact swap root[N/4 - m] = 1j * conj(root[m]), equal
-    to complex(root[m].imag, root[m].real) since each part is a product by
-    0 or 1 plus a zero (and cheaper to form), which makes root[N/4] exactly
-    1j. For N = 2 (mod 4) the quadrant m = 0..floor(N/4) costs pairs.
-    Either quadrant is completed by the exact mirrors root[N/2 - m] = -conj(root[m]) and
-    root[m + N/2] = -root[m]; for 4 | N, root[m + N/4] then equals
+    Only the first octant costs cos/sin pairs, m = 0..floor(N/8). When
+    8 | N, root[N/8] is set to complex(sqrt(1/2), sqrt(1/2)), which is its
+    own swap; cmath.rect leaves its two parts an ulp apart. The rest of the
+    quadrant is the exact swap root[N/4 - m] = 1j * conj(root[m]), equal to
+    complex(root[m].imag, root[m].real) since each part is a product by 0
+    or 1 plus a zero (and cheaper to form), which makes root[N/4] exactly
+    1j. The exact mirrors root[N/2 - m] = -conj(root[m]) and
+    root[m + N/2] = -root[m] complete the table; root[m + N/4] then equals
     complex(-root[m].imag, root[m].real) exactly, i * root[m] as a swap and
-    negation. For odd N the pairs are m = 0..floor(N/2) and the rest is the
-    conjugate mirror. In every case root[N - m] equals conj(root[m]) exactly.
+    negation, and root[N - m] equals conj(root[m]) exactly.
     """
-    half = n // 2
     quarter = n // 4
-    count = half + 1 if n % 2 else quarter // 2 + 1 if n % 4 == 0 else quarter + 1
+    count = quarter // 2 + 1
     step = 2.0 * math.pi / n
     head = [cmath.rect(1.0, step * m) for m in range(count)]
-    if n % 2:
-        return head + [z.conjugate() for z in reversed(head[1:])]
-    if n % 4 == 0:
-        if n % 8 == 0:
-            head[-1] = complex(math.sqrt(0.5), math.sqrt(0.5))
-        head += [1j * z.conjugate() for z in reversed(head[: quarter - count + 1])]
-    head += [-z.conjugate() for z in reversed(head[1 : half - quarter])]
+    if n % 8 == 0:
+        head[-1] = complex(math.sqrt(0.5), math.sqrt(0.5))
+    head += [1j * z.conjugate() for z in reversed(head[: quarter - count + 1])]
+    head += [-z.conjugate() for z in reversed(head[1:quarter])]
     return head + [-z for z in head]
 
 
@@ -152,12 +143,12 @@ def unwrapped_winding_phase(rates, samples: int) -> float:
     """Total unwrapped phase of t -> prod_j exp(2*pi*i*r_j*t) over [0, 1].
 
     Samples the product at the points t = k/N, k = 0..N with N = samples,
-    folded by the rule of the module docstring: the product is formed,
-    factor by factor, only at k = 0..ceil(L/2). Each factor is read from one
-    table of the N-th roots of unity, `_roots`: rate r at sample k is
-    root[(r*k) % N], an exact integer reduction. Increments 1..floor(L/2)
-    count twice, for odd L the middle increment, its own mirror, once, and
-    the period's sum counts N/L times.
+    which 4 must divide, folded by the rule of the module docstring: the
+    product is formed, factor by factor, only at k = 0..ceil(L/2) with
+    L = N/4. Each factor is read from one table of the N-th roots of unity,
+    `_roots`: rate r at sample k is root[(r*k) % N], an exact integer
+    reduction. Increments 1..floor(L/2) count twice, for odd L the middle
+    increment, its own mirror, once, and the period's sum counts 4 times.
 
     Beside the N-entry root table, each rate's column and the products hold
     ceil(L/2) entries; the increments are added with one math.fsum. The
@@ -165,7 +156,7 @@ def unwrapped_winding_phase(rates, samples: int) -> float:
     that the true step between consecutive samples stays below pi.
     """
     n = samples
-    period = n if n % 2 else n // 4 if n % 4 == 0 else n // 2
+    period = n // 4
     half = period // 2
     last = period - half  # ceil(L/2), the last sample whose product is formed
     roots = _roots(n)
@@ -175,12 +166,10 @@ def unwrapped_winding_phase(rates, samples: int) -> float:
         prod = column if prod is None else list(map(operator.mul, prod, column))
     steps = list(map(cmath.phase, map(operator.truediv, prod, itertools.chain((roots[0],), prod))))
     middle = steps.pop() if last > half else 0.0  # odd L: the middle increment
-    return n // period * (2.0 * math.fsum(steps) + middle)
+    return 4 * (2.0 * math.fsum(steps) + middle)
 
 
-def det_winding(
-    integer_rates: Iterable[int], samples: int | None = None, eval_budget: int = DEFAULT_EVAL_BUDGET
-) -> WindingResult:
+def det_winding(integer_rates: Iterable[int], eval_budget: int = DEFAULT_EVAL_BUDGET) -> WindingResult:
     """Winding number of the determinant loop t -> prod_j exp(2*pi*i*r_j*t)
     on [0, 1], extracted by sampling and phase unwrapping.
 
@@ -192,11 +181,10 @@ def det_winding(
     The fold (module docstring) holds because the rates are integers, as
     checked here.
 
-    `samples` defaults to the minimum 4*sum(|r_j|) + 16, which keeps the true
-    phase step between samples below pi and makes the unwrap exact up to
-    rounding. The pre-rounding residual is reported alongside the integer.
-    A rate too large to convert to float, a sample count or budget that is
-    not an integer, a sample count below the minimum, and
+    The sample count is 4*sum(|r_j|) + 16, a multiple of 4 that keeps the
+    true phase step between samples below pi and makes the unwrap exact up
+    to rounding; it is reported with the pre-rounding residual. A rate too
+    large to convert to float, a budget that is not an integer, and
     samples * len(rates) over `eval_budget` each raise DomainError before
     anything is sampled or allocated.
     """
@@ -205,15 +193,8 @@ def det_winding(
         raise DomainError("det_winding requires at least one rate")
     for r in rates:
         to_float("det_winding rate", r)
-    min_samples = 4 * sum(abs(r) for r in rates) + 16
-    if samples is None:
-        samples = min_samples
-    elif check_int("det_winding samples", samples) < min_samples:
-        raise DomainError(
-            f"samples={samples} is below the unwrap-safe minimum {min_samples} for these rates"
-        )
+    samples = 4 * sum(abs(r) for r in rates) + 16
     if samples * len(rates) > check_int("evaluation budget", eval_budget):
-        # The sample count may have too many digits to print.
         raise DomainError(
             f"det_winding needs more evaluations ({len(rates)} rates x samples) "
             f"than the evaluation budget {eval_budget}"
@@ -223,8 +204,5 @@ def det_winding(
     winding = round(turns)
     residual = abs(turns - winding)
     if residual > 0.01:
-        raise ConvergenceError(
-            f"phase unwrap residual {residual:.4f} exceeds 0.01; rerun with a higher sample count",
-            achieved_error=residual,
-        )
+        raise ConvergenceError(f"phase unwrap residual {residual:.4f} exceeds 0.01", achieved_error=residual)
     return WindingResult(winding=winding, residual=residual, samples=samples)

@@ -64,7 +64,6 @@ windings = st.fixed_dictionaries(
         "check": st.just("winding"),
         "rates": st.lists(st.integers(-100, 100), min_size=1, max_size=8) | int_lists,
     },
-    optional={"samples": st.integers(-3, 20_000) | st.integers(-HUGE, HUGE) | json_values},
 )
 not_json = st.text(st.characters(min_codepoint=0x21, max_codepoint=0x7E), min_size=1, max_size=40)
 lines = st.lists(

@@ -150,8 +150,6 @@ def test_det_winding_validation():
     with pytest.raises(DomainError):
         det_winding([2, "x"])
     with pytest.raises(DomainError):
-        det_winding([4, 4, 5, 14], samples=10)  # below the unwrap-safe minimum
-    with pytest.raises(DomainError):
         det_winding([10**400])  # outside the float range
 
 
@@ -159,9 +157,7 @@ def test_det_winding_reports_residual_and_samples():
     result = det_winding([4, 4, 5, 14])
     assert result.samples == 4 * 27 + 16
     assert 0 <= result.residual < 0.01
-    bigger = det_winding([4, 4, 5, 14], samples=1000)
-    assert bigger.winding == 27
-    assert bigger.samples == 1000
+    assert det_winding([3, -3, 0]).samples == 4 * 6 + 16
 
 
 def test_det_winding_random_vectors():
@@ -209,13 +205,13 @@ def trig_loop_winding_phase(rates, samples):
 
 @given(
     st.lists(st.integers(-100, 100), min_size=1, max_size=24),
-    st.integers(0, 12_288),
+    st.integers(0, 3_072),
 )
 @settings(max_examples=60, deadline=None)
 def test_winding_kernel_matches_the_trig_loop(rates, extra):
-    # From the unwrap-safe minimum up to 12 288 more samples, so columns of
-    # a few thousand entries are drawn.
-    samples = 4 * sum(map(abs, rates)) + 16 + extra
+    # Multiples of 4 from the unwrap-safe minimum up to 12 288 more samples,
+    # so columns of up to about 4000 entries are drawn.
+    samples = 4 * sum(map(abs, rates)) + 16 + 4 * extra
     turns = unwrapped_winding_phase(rates, samples) / (2 * math.pi)
     assert round(turns) == round(trig_loop_winding_phase(rates, samples) / (2 * math.pi)) == sum(rates)
     assert abs(turns - round(turns)) < 1e-9
@@ -246,34 +242,31 @@ def assert_folded_matches_the_full_loop(rates, samples):
 
 @given(
     st.lists(st.integers(-100, 100), min_size=1, max_size=24),
-    st.integers(0, 12_288),
+    st.integers(0, 3_072),
 )
 @settings(max_examples=60, deadline=None)
 def test_half_loop_kernel_matches_the_full_loop(rates, extra):
-    # Sample counts of every residue mod 4, from the unwrap-safe minimum up
+    # Sample counts of both residues mod 8, from the unwrap-safe minimum up
     # to 12 288 more.
-    assert_folded_matches_the_full_loop(rates, 4 * sum(map(abs, rates)) + 16 + extra)
+    assert_folded_matches_the_full_loop(rates, 4 * sum(map(abs, rates)) + 16 + 4 * extra)
 
 
 @pytest.mark.parametrize(
     "rates, samples",
     [
-        ((4, 4, 5, 14), 4 * 27 + 16 + 1),  # odd N, one above the minimum
-        ((7,), 45),  # a single rate, odd N
+        ((4, 4, 5, 14), 4 * 27 + 16),  # the minimum, L = 31
+        ((7,), 48),  # a single rate, L = 12
         ((-7,), 44),
-        ((0, 0, 9, 0), 53),  # all rates zero but one
-        ((0, -3, 0), 29),
+        ((0, 0, 9, 0), 52),  # all rates zero but one
+        ((0, -3, 0), 28),
     ]
-    # Long columns: ceil(L/2) at 4095, 4096 and 4097 from the odd N (L = N)
-    # among these; N = 8193 forms a lone middle increment after 4096 pairs.
-    # The even N fold to 2048 samples or fewer.
-    + [((3, -1, 5), n) for n in range(8189, 8195)]
-    # ceil(L/2) at 4095, 4096 and 4097 from N = 4c - 2 (L = 2c - 1), with
-    # the lone middle increment at N = 16386. N = 4c (L = c) folds to about
-    # 2048 samples.
-    + [((3, -1, 5), n) for c in range(4095, 4098) for n in (4 * c, 4 * c - 2)]
-    # ceil(L/2) at 4095, 4096 and 4097 from N = 8c (L = 2c) and N = 8c - 4
-    # (L = 2c - 1), with the lone middle increment at N = 32772.
+    # L = N/4 from 2045 to 2050: ceil(L/2) across 1024, with both parities.
+    + [((3, -1, 5), n) for n in range(8180, 8204, 4)]
+    # ceil(L/2) near 2048 from N = 4c (L = c), and near 8192 from N = 16c.
+    + [((3, -1, 5), n) for c in range(4095, 4098) for n in (4 * c, 16 * c)]
+    # Long columns: ceil(L/2) at 4095, 4096 and 4097 from N = 8c (L = 2c)
+    # and N = 8c - 4 (L = 2c - 1), with the lone middle increment at
+    # N = 32772.
     + [((3, -1, 5), n) for c in range(4095, 4098) for n in (8 * c, 8 * c - 4)],
 )
 def test_half_loop_kernel_edge_cases(rates, samples):
@@ -284,14 +277,12 @@ def test_half_loop_kernel_edge_cases(rates, samples):
     "samples, gathered",
     [
         (4 * 15 + 16, 3 * 10),  # N = 76: L = 19
-        (4 * 15 + 17, 3 * 39),  # N = 77: L = 77
-        (4 * 15 + 18, 3 * 20),  # N = 78: L = 39
-        (8193, 3 * 4097),  # L = N
+        (4 * 15 + 20, 3 * 10),  # N = 80: L = 20
+        (32768, 3 * 4096),
     ],
 )
 def test_winding_kernel_gathers_half_a_period(monkeypatch, samples, gathered):
-    # The increments have period L = N/4 when 4 | N, L = N/2 when
-    # N = 2 (mod 4) and L = N for odd N, and a period is a palindrome, so
+    # The increments have period L = N/4, and a period is a palindrome, so
     # each nonzero rate is gathered at the samples 1..ceil(L/2) only.
     rates = (3, 0, -5, 7, 0)
     counts = []
@@ -308,65 +299,52 @@ def test_winding_kernel_gathers_half_a_period(monkeypatch, samples, gathered):
 
 
 def test_root_table_mirrors_are_exact():
-    for n in [*range(1, 130), 16384, 16385, 16386, 9999]:
+    for n in [*range(4, 260, 4), 16380, 16384, 9996]:
         roots = _roots(n)
         assert len(roots) == n
         assert all(abs(z - cmath.rect(1.0, 2 * math.pi * m / n)) < 1e-14 for m, z in enumerate(roots)), n
         assert all(roots[(n - m) % n] == roots[m].conjugate() for m in range(n)), n
-        if n % 2 == 0:
-            h = n // 2
-            assert all(roots[(m + h) % n] == -roots[m] for m in range(n)), n
-            assert all(roots[(h - m) % n] == -roots[m].conjugate() for m in range(n)), n
-        if n % 4 == 0:
-            q = n // 4
-            assert all(roots[(m + q) % n] == complex(-roots[m].imag, roots[m].real) for m in range(n)), n
+        h = n // 2
+        assert all(roots[(m + h) % n] == -roots[m] for m in range(n)), n
+        assert all(roots[(h - m) % n] == -roots[m].conjugate() for m in range(n)), n
+        q = n // 4
+        assert all(roots[(m + q) % n] == complex(-roots[m].imag, roots[m].real) for m in range(n)), n
 
 
 @given(
     st.lists(st.integers(-100, 100), min_size=1, max_size=8),
-    st.integers(0, 64),
+    st.integers(0, 16),
 )
 @settings(max_examples=60, deadline=None)
 def test_skipped_products_are_exact_mirrors_of_formed_ones(rates, extra):
     # P_k formed as the kernel forms it: one table root per rate, multiplied
-    # in rate order. For even N, P_{N/2-k} = s*conj(P_k) and P_{k+N/2} = s*P_k
-    # with s = (-1)^(sum of rates); for 4 | N, also P_{N/4-k} = c*conj(P_k)
-    # and P_{k+N/4} = c*P_k with c = i^(sum of rates), applied as a swap and
-    # negation of the parts; for odd N, P_{N-k} = conj(P_k). Equal as
-    # floats, not merely close: no rounding of the table or of the products
-    # enters the fold.
-    n = 4 * sum(map(abs, rates)) + 16 + extra
+    # in rate order. P_{N/2-k} = s*conj(P_k) and P_{k+N/2} = s*P_k with
+    # s = (-1)^(sum of rates), and P_{N/4-k} = c*conj(P_k) and
+    # P_{k+N/4} = c*P_k with c = i^(sum of rates), applied as a swap and
+    # negation of the parts. Equal as floats, not merely close: no rounding
+    # of the table or of the products enters the fold.
+    n = 4 * sum(map(abs, rates)) + 16 + 4 * extra
     roots = _roots(n)
     loop = [functools.reduce(operator.mul, [roots[r * k % n] for r in rates]) for k in range(n)]
-    if n % 2:
-        assert all(loop[(n - k) % n] == loop[k].conjugate() for k in range(n))
-        return
     h = n // 2
     sign = operator.neg if sum(rates) % 2 else operator.pos
     assert all(loop[(h - k) % n] == sign(loop[k].conjugate()) for k in range(n))
     assert all(loop[(k + h) % n] == sign(loop[k]) for k in range(n))
-    if n % 4 == 0:
-        q = n // 4
-        turn = [
-            operator.pos,
-            lambda z: complex(-z.imag, z.real),
-            operator.neg,
-            lambda z: complex(z.imag, -z.real),
-        ][sum(rates) % 4]
-        assert all(loop[(q - k) % n] == turn(loop[k].conjugate()) for k in range(n))
-        assert all(loop[(k + q) % n] == turn(loop[k]) for k in range(n))
-
-
-@pytest.mark.parametrize("samples", [100.5, 200.0, True, "200"])
-def test_det_winding_refuses_a_sample_count_that_is_not_an_integer(samples):
-    with pytest.raises(DomainError, match="samples must be an integer"):
-        det_winding([1], samples)
+    q = n // 4
+    turn = [
+        operator.pos,
+        lambda z: complex(-z.imag, z.real),
+        operator.neg,
+        lambda z: complex(z.imag, -z.real),
+    ][sum(rates) % 4]
+    assert all(loop[(q - k) % n] == turn(loop[k].conjugate()) for k in range(n))
+    assert all(loop[(k + q) % n] == turn(loop[k]) for k in range(n))
 
 
 @pytest.mark.parametrize("eval_budget", [None, "x", 1.5e6])
 def test_det_winding_refuses_a_budget_that_is_not_an_integer(eval_budget):
     with pytest.raises(DomainError, match="evaluation budget must be an integer"):
-        det_winding([1], None, eval_budget)
+        det_winding([1], eval_budget)
 
 
 def test_det_winding_refuses_rates_that_are_not_a_list():
@@ -375,17 +353,18 @@ def test_det_winding_refuses_rates_that_are_not_a_list():
 
 
 @pytest.mark.parametrize(
-    "rates, samples",
+    "rates, eval_budget",
     [
         ([10**20], None),  # 4e20 samples
         ([1] * 2000, None),  # 8016 samples x 2000 rates
-        ([4, 4, 5, 14], 250_001),  # 4 rates x 250 001 samples
+        ([4, 4, 5, 14], 495),  # 4 rates x 124 samples, one over the budget
     ],
 )
-def test_det_winding_refuses_work_over_the_budget_before_sampling(monkeypatch, rates, samples):
+def test_det_winding_refuses_work_over_the_budget_before_sampling(monkeypatch, rates, eval_budget):
     def kernel_must_not_run(rates, samples):
         raise AssertionError("the kernel ran")
 
     monkeypatch.setattr(cz_paths, "unwrapped_winding_phase", kernel_must_not_run)
-    with pytest.raises(DomainError, match=f"budget {DEFAULT_EVAL_BUDGET}"):
-        det_winding(rates, samples)
+    budget = eval_budget or DEFAULT_EVAL_BUDGET
+    with pytest.raises(DomainError, match=f"budget {budget}"):
+        det_winding(rates, budget)

@@ -42,7 +42,7 @@ def _transcript():
 
 def test_reference_argv_transcript(capsys):
     calls = list(_transcript())
-    assert len(calls) == 45
+    assert len(calls) == 43
     for command, stdout, last_err, code in calls:
         got_code = main(shlex.split(command))
         captured = capsys.readouterr()
