@@ -5,7 +5,6 @@ with independent numeric oracles for every closed form."""
 from .cz_indices import (
     Branch,
     CZReport,
-    OrbitSpec,
     mu_orbit_brieskorn,
     mu_orbit_wps,
     mu_principal,
@@ -37,7 +36,6 @@ from .spaces import (
     BrieskornExponents,
     TheoremCheck,
     WCISpace,
-    WPSpace,
     b_constant,
     brieskorn_to_wci,
     check_theorem_hypotheses,
@@ -64,12 +62,10 @@ __all__ = [
     "CzorbError",
     "DomainError",
     "NonCoprimeError",
-    "OrbitSpec",
     "QuadratureResult",
     "TheoremCheck",
     "UncoveredCaseError",
     "WCISpace",
-    "WPSpace",
     "WeightInvariants",
     "WeightVector",
     "WindingResult",

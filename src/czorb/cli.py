@@ -62,7 +62,7 @@ from .orbifold_topology import (
     teardrop_homology,
     teardrop_orbifold_chern,
 )
-from .spaces import WPSpace, make_brieskorn_exponents, make_wci_space
+from .spaces import make_brieskorn_exponents, make_wci_space
 from .weights import invariants, make_weight_vector, symplectic_area
 
 TEARDROP_TABLE_MAX_DEGREE = 12
@@ -114,11 +114,19 @@ def _csv_ints(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected a comma-separated list of integers, got {text!r}")
 
 
+def _portable(text: str) -> bool:
+    """Whether Fraction reads `text` alike on every supported Python: 3.11
+    added `_` digit separators, and 3.12 spaces around the `/`."""
+    return "_" not in text and not any(map(str.isspace, text.strip()))
+
+
 def _rational_arg(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        if _portable(text):
+            return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"expected a rational p/q or an integer, got {text!r}")
+        pass
+    raise argparse.ArgumentTypeError(f"expected a rational p/q or an integer, got {text!r}")
 
 
 def _check_int(name: str, value) -> int:
@@ -143,7 +151,7 @@ def _check_rational(name: str, value) -> Fraction:
         usable = all(map(is_int, parts))
     else:
         parts = (value,)
-        usable = isinstance(value, (str, Fraction)) or is_int(value)
+        usable = (isinstance(value, str) and _portable(value)) or isinstance(value, Fraction) or is_int(value)
     if usable:
         try:
             return Fraction(*parts)
@@ -225,7 +233,7 @@ def _report_payload(report: CZReport) -> dict:
 
 
 def compute_principal_wps(weights: list[int]) -> dict:
-    report = mu_principal(WPSpace(make_weight_vector(weights)))
+    report = mu_principal(weights)
     return {"weights": list(weights), **_report_payload(report)}
 
 

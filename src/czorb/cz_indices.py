@@ -33,7 +33,7 @@ from itertools import compress
 from .cz_paths import scalar_cz, scalar_index  # noqa: F401
 from .errors import DomainError, UncoveredCaseError, check_ints
 from .record import Record
-from .spaces import BrieskornExponents, Space, WCISpace, WPSpace, b_constant, brieskorn_to_wci
+from .spaces import BrieskornExponents, Space, WCISpace, b_constant, brieskorn_to_wci
 from .weights import WeightVector, make_weight_vector
 
 
@@ -63,21 +63,15 @@ BRANCH_FORMULAS = {
 }
 
 
-class OrbitSpec(Record):
-    """A Reeb orbit stratum: the set of nonzero coordinates and its isotropy
-    order (always recomputed as the gcd of the supported weights)."""
-
-    __slots__ = ("support", "isotropy")
-
-
 class CZReport(Record):
     __slots__ = ("index", "branch", "extrapolated", "b_constant", "notes")
     _defaults = {"extrapolated": False, "b_constant": None, "notes": ()}
 
 
-def orbit_spec(wv: WeightVector, support: Iterable[int]) -> OrbitSpec:
-    """Validate an orbit support set against a weight vector and compute its
-    isotropy order."""
+def orbit_spec(wv: WeightVector, support: Iterable[int]) -> tuple[frozenset[int], int]:
+    """Validate an orbit support set against a weight vector, and return the
+    orbit's stratum as (support, isotropy): the set of nonzero coordinates
+    and the gcd of the supported weights."""
     s = frozenset(check_ints("support", support))
     if not s:
         raise DomainError("orbit support must be nonempty")
@@ -85,22 +79,25 @@ def orbit_spec(wv: WeightVector, support: Iterable[int]) -> OrbitSpec:
     if min(s) < 0 or max(s) >= len(w):
         bad = next(j for j in s if not 0 <= j < len(w))
         raise DomainError(f"support index {bad!r} out of range 0..{len(w) - 1}")
-    return OrbitSpec(s, math.gcd(*map(w.__getitem__, s)))
+    return s, math.gcd(*map(w.__getitem__, s))
 
 
 def mu_principal(space: Space) -> CZReport:
-    """Index of the principal orbit: twice the proportionality constant."""
-    if not isinstance(space, (WPSpace, WCISpace)):
-        raise DomainError(f"expected a WPSpace or WCISpace, got {type(space).__name__}")
+    """Index of the principal orbit: twice the proportionality constant. The
+    space is a WCISpace, or a weighted projective space given by its
+    WeightVector or the vector's entries."""
+    if isinstance(space, WCISpace):
+        branch = Branch.PRINCIPAL_WCI
+    else:
+        space, branch = make_weight_vector(space), Branch.PRINCIPAL_WPS
     b = b_constant(space)
-    branch = Branch.PRINCIPAL_WPS if isinstance(space, WPSpace) else Branch.PRINCIPAL_WCI
     notes = ()
     if b <= 0:
         notes = (f"proportionality constant b={b} is non-positive; the formula has no positivity guard",)
     return CZReport(index=2 * b, branch=branch, b_constant=b, notes=notes)
 
 
-def _trivial_isotropy(space: WPSpace | BrieskornExponents, branch: Branch, full_support: bool) -> CZReport:
+def _trivial_isotropy(space: WeightVector | BrieskornExponents, branch: Branch, full_support: bool) -> CZReport:
     """A support with isotropy 1 carries the principal orbit: index 2*b."""
     b = b_constant(space)
     notes = () if full_support else ("support has trivial isotropy, so the orbit is principal",)
@@ -171,12 +168,11 @@ def mu_orbit_wps(
     unless allow_extrapolation is set.
     """
     wv = make_weight_vector(wv)
-    spec = orbit_spec(wv, support)
-    s, d = spec.support, spec.isotropy
+    s, d = orbit_spec(wv, support)
     notes: list[str] = []
 
     if d == 1:
-        return _trivial_isotropy(WPSpace(wv), Branch.PRINCIPAL_WPS, len(s) == len(wv))
+        return _trivial_isotropy(wv, Branch.PRINCIPAL_WPS, len(s) == len(wv))
 
     if len(wv) == 2 and len(s) == 1:
         (j,) = s
@@ -223,8 +219,7 @@ def mu_orbit_brieskorn(
     in-stratum term equals 2*l_S*(sum_{j in S} 1/a_j - 1); no lcm is taken.
     """
     wv = brieskorn_to_wci(be).weights
-    spec = orbit_spec(wv, support)
-    s, d = spec.support, spec.isotropy
+    s, d = orbit_spec(wv, support)
 
     if len(s) < 3:
         raise UncoveredCaseError(

@@ -195,8 +195,9 @@ def det_winding(integer_rates: Iterable[int], eval_budget: int = DEFAULT_EVAL_BU
         to_float("det_winding rate", r)
     samples = 4 * sum(abs(r) for r in rates) + 16
     if samples * len(rates) > check_int("evaluation budget", eval_budget):
+        # Every rate passed to_float, so samples has too few digits to fail str().
         raise DomainError(
-            f"det_winding needs more evaluations ({len(rates)} rates x samples) "
+            f"det_winding needs more evaluations ({len(rates)} rates x {samples} samples) "
             f"than the evaluation budget {eval_budget}"
         )
     total = unwrapped_winding_phase(rates, samples)

@@ -17,14 +17,7 @@ from .errors import DomainError, as_tuple, check_ints
 # Unused here; perfbench's trace points still name czorb.spaces.factorize and ord_p.
 from .exact_arith import factorize, ord_p  # noqa: F401
 from .record import Record
-from .weights import make_weight_vector
-
-
-class WPSpace(Record):
-    """Weighted projective space with the locally-free circle quotient
-    orbifold structure."""
-
-    __slots__ = ("weights",)
+from .weights import WeightVector, make_weight_vector
 
 
 class WCISpace(Record):
@@ -50,7 +43,7 @@ class BrieskornExponents(Record):
     __slots__ = ("a", "l", "l2")
 
 
-Space = WPSpace | WCISpace
+Space = WCISpace | WeightVector | Iterable[int]  # a WCI, or a WPS by its weights
 
 
 def make_wci_space(weights: Iterable[int], degrees: Iterable[int]) -> WCISpace:
@@ -109,11 +102,10 @@ def brieskorn_to_wci(b: BrieskornExponents) -> WCISpace:
 
 def b_constant(space: Space | BrieskornExponents) -> int:
     """The proportionality constant b of c1^orb = b*[omega]: |w| for a
-    weighted projective space, |w| - sum(m_j) for a complete intersection,
-    and sum(l/a_j) - l for a Brieskorn orbifold, the degree-l hypersurface
-    with weights l/a_j. It may be non-positive and is returned as-is."""
-    if isinstance(space, WPSpace):
-        return sum(space.weights.w)
+    weighted projective space, given by its WeightVector or the vector's
+    entries, |w| - sum(m_j) for a complete intersection, and sum(l/a_j) - l
+    for a Brieskorn orbifold, the degree-l hypersurface with weights l/a_j.
+    It may be non-positive and is returned as-is."""
     if isinstance(space, WCISpace):
         return sum(space.weights.w) - sum(space.degrees)
     if isinstance(space, BrieskornExponents):
@@ -121,7 +113,7 @@ def b_constant(space: Space | BrieskornExponents) -> int:
         if any(remainders):
             raise AssertionError(f"non-integer index: l={space.l} is not a multiple of every exponent of {space.a}")
         return sum(quotients) - space.l
-    raise DomainError(f"expected a WPSpace, WCISpace or BrieskornExponents, got {type(space).__name__}")
+    return sum(make_weight_vector(space).w)
 
 
 class TheoremCheck(Record):
@@ -134,13 +126,12 @@ class TheoremCheck(Record):
 
 
 def check_theorem_hypotheses(space: Space) -> TheoremCheck:
-    if isinstance(space, WPSpace):
-        reason = "weighted projective spaces are simply connected as orbifolds"
-    elif isinstance(space, WCISpace):
+    if isinstance(space, WCISpace):
         reason = (
             f"codimension r={space.r} <= n-2={space.weights.n - 2} keeps complex dimension >= 2, "
             "so the link is simply connected"
         )
     else:
-        raise DomainError(f"expected a WPSpace or WCISpace, got {type(space).__name__}")
+        space = make_weight_vector(space)
+        reason = "weighted projective spaces are simply connected as orbifolds"
     return TheoremCheck(b=b_constant(space), simply_connected=True, simply_connected_reason=reason)

@@ -71,13 +71,14 @@ def make_weight_vector(raw: Iterable[int]) -> WeightVector:
     return WeightVector(w)
 
 
-def invariants(wv: WeightVector) -> WeightInvariants:
-    """Compute all derived invariants of a weight vector.
+def invariants(wv: WeightVector | Iterable[int]) -> WeightInvariants:
+    """Compute all derived invariants of a weight vector, given as a
+    WeightVector or its entries (see make_weight_vector).
 
     d comes from one prefix and one suffix gcd scan, and e_j = a_w // d_j,
     since make_weight_vector's gcd(w) = 1 makes the d_j pairwise coprime.
     """
-    w = wv.w
+    w = make_weight_vector(wv).w
     suffix = list(accumulate(reversed(w), math.gcd, initial=0))
     d = tuple(map(math.gcd, accumulate(w, math.gcd, initial=0), suffix[-2::-1]))
     a_w = math.lcm(*d)
@@ -98,7 +99,7 @@ def invariants(wv: WeightVector) -> WeightInvariants:
     )
 
 
-def symplectic_area(wv: WeightVector) -> Fraction:
+def symplectic_area(wv: WeightVector | Iterable[int]) -> Fraction:
     """Pairing of the quotient symplectic class with the generating sphere:
     exactly -1 / (product of weights)."""
-    return Fraction(-1, math.prod(wv.w))
+    return Fraction(-1, math.prod(make_weight_vector(wv).w))

@@ -21,7 +21,7 @@ from czorb.orbifold_topology import (
     teardrop_homology,
     teardrop_orbifold_chern,
 )
-from czorb.spaces import WPSpace, brieskorn_to_wci, make_brieskorn_exponents
+from czorb.spaces import brieskorn_to_wci, make_brieskorn_exponents
 from czorb.weights import invariants, make_weight_vector
 
 
@@ -121,7 +121,7 @@ def test_criterion_7_winding_bridge():
             result = det_winding(w)
             assert result.winding == sum(w)
             assert result.residual < 0.01
-            assert 2 * result.winding == mu_principal(WPSpace(make_weight_vector(w))).index
+            assert 2 * result.winding == mu_principal(make_weight_vector(w)).index
 
 
 def test_criterion_8_quadrature_and_chain():
@@ -160,14 +160,14 @@ def test_criterion_10_index_consistency_invariants():
             d = math.gcd(*(w[j] for j in support))
             if len(support) >= 2:
                 in_stratum = 2 * sum(w[j] // d for j in support)
-                reduced = WPSpace(make_weight_vector([w[j] // d for j in support]))
+                reduced = make_weight_vector([w[j] // d for j in support])
                 assert in_stratum == mu_principal(reduced).index
             try:
                 report = mu_orbit_wps(wv, support)
             except UncoveredCaseError:
                 continue
             if d == 1:
-                assert report.index == mu_principal(WPSpace(wv)).index
+                assert report.index == mu_principal(wv).index
                 assert report.branch == Branch.PRINCIPAL_WPS
             elif report.branch == Branch.NONPRINCIPAL_WPS and not report.extrapolated:
                 assert report.index % 2 == (len(w) - len(support)) % 2

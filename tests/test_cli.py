@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import czorb
-from czorb import cli, numeric_verify
+from czorb import cli, cz_paths, numeric_verify
 from czorb.cli import FLAG, INT, INTS, NUMBER, OPERATIONS, RATIONAL, REQUIRED, dumps, main, run
 from czorb.errors import CzorbError
 
@@ -307,6 +308,55 @@ def test_batch_refuses_values_outside_the_float_range(capsys, tmp_path):
     assert [rec["id"] for rec in recs] == ["rate", "w0", "tol", "good"]
     assert [rec["error"]["type"] for rec in recs[:3]] == ["domain"] * 3
     assert recs[3]["status"] == "ok"
+
+
+@pytest.mark.parametrize("text", ["1_000", "7 / 2"])
+def test_argv_refuses_a_rational_that_python_versions_read_differently(capsys, text):
+    # Fraction reads "_" digit separators from Python 3.11 and spaces around
+    # "/" from 3.12; czorb refuses both on every version.
+    code, out, err = run_cli(capsys, "verify", "scalar-cz", "--T", text)
+    assert code == 1
+    assert out == ""
+    assert f"expected a rational p/q or an integer, got {text!r}" in err
+
+
+def test_batch_refuses_a_rational_that_python_versions_read_differently(capsys, tmp_path):
+    records = [
+        {"id": "sep", "kind": "verify", "check": "scalar-cz", "T": "1_000"},
+        {"id": "space", "kind": "verify", "check": "scalar-cz", "T": "7 / 2"},
+        {"id": "good", "kind": "verify", "check": "scalar-cz", "T": " 1e3 "},
+    ]
+    path = tmp_path / "rationals.ndjson"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    code, out, _ = run_cli(capsys, "batch", str(path), "--json")
+    assert code == 2
+    recs = [json.loads(line) for line in out.strip().splitlines()]
+    assert [rec["status"] for rec in recs] == ["error", "error", "ok"]
+    assert recs[0]["error"] == {
+        "type": "domain",
+        "message": "batch field 'T' must be a rational ('p/q', integer, or num/den), got '1_000'",
+    }
+    assert recs[1]["error"]["type"] == "domain"
+    assert recs[2]["result"]["closed_form"] == 1000
+
+
+def test_batch_reports_a_winding_unwrap_fault_and_runs_the_next_record(capsys, tmp_path, monkeypatch):
+    # A kernel 0.2*pi off the true phase: a convergence error (exit 4), not a wrong winding.
+    monkeypatch.setattr(cz_paths, "unwrapped_winding_phase", lambda rates, samples: 2 * math.pi * (sum(rates) + 0.1))
+    records = [
+        {"id": "fault", "kind": "verify", "check": "winding", "rates": [4, 4, 5, 14]},
+        {"id": "good", "kind": "verify", "check": "scalar-cz", "T": "7/2"},
+    ]
+    path = tmp_path / "fault.ndjson"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    code, out, _ = run_cli(capsys, "batch", str(path), "--json")
+    assert code == 4
+    recs = [json.loads(line) for line in out.strip().splitlines()]
+    assert [rec["status"] for rec in recs] == ["error", "ok"]
+    assert recs[0]["error"]["type"] == "convergence"
+    assert recs[0]["error"]["message"] == "phase unwrap residual 0.1000 exceeds 0.01"
+    assert recs[0]["error"]["achieved_error"] == pytest.approx(0.1)
+    assert recs[1]["result"]["ok"] is True
 
 
 def test_batch_refuses_winding_over_the_budget(capsys, tmp_path, monkeypatch):

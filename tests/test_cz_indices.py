@@ -15,12 +15,13 @@ from czorb.cz_indices import (
 )
 from czorb.cz_paths import crossing_oracle_scalar, det_winding, scalar_cz
 from czorb.errors import DomainError, UncoveredCaseError
-from czorb.spaces import WPSpace, brieskorn_to_wci, make_brieskorn_exponents, make_wci_space
-from czorb.weights import make_weight_vector
+from czorb.numeric_verify import area_chain
+from czorb.spaces import brieskorn_to_wci, check_theorem_hypotheses, make_brieskorn_exponents, make_wci_space
+from czorb.weights import invariants, make_weight_vector, symplectic_area
 
 
 def wps(*w):
-    return WPSpace(make_weight_vector(w))
+    return make_weight_vector(w)
 
 
 def test_b_constant_examples():
@@ -32,13 +33,43 @@ def test_b_constant_examples():
 
 
 def test_b_constant_refuses_other_types():
-    with pytest.raises(DomainError, match="got object"):
+    with pytest.raises(DomainError, match="not object"):
         b_constant(object())
 
 
 def test_mu_principal_refuses_brieskorn_exponents():
-    with pytest.raises(DomainError, match="got BrieskornExponents"):
+    with pytest.raises(DomainError, match="not BrieskornExponents"):
         mu_principal(make_brieskorn_exponents([2, 2, 2, 5]))
+
+
+@pytest.mark.parametrize(
+    "function",
+    [
+        mu_principal,
+        b_constant,
+        check_theorem_hypotheses,
+        invariants,
+        symplectic_area,
+        area_chain,
+        lambda w: mu_orbit_wps(w, [0, 1]),
+    ],
+    ids=[
+        "mu_principal",
+        "b_constant",
+        "check_theorem_hypotheses",
+        "invariants",
+        "symplectic_area",
+        "area_chain",
+        "mu_orbit_wps",
+    ],
+)
+def test_a_weighted_projective_space_is_its_weight_vector_or_its_entries(function):
+    assert function([4, 4, 5, 14]) == function(make_weight_vector([4, 4, 5, 14]))
+    with pytest.raises(DomainError, match="weights must be a list of integers, not int"):
+        function(5)
+    if function is not b_constant:  # b_constant also takes a Brieskorn orbifold
+        with pytest.raises(DomainError, match="weights must be a list of integers, not BrieskornExponents"):
+            function(make_brieskorn_exponents([2, 2, 2, 5]))
 
 
 def test_mu_principal_examples():
@@ -65,9 +96,8 @@ def test_mu_principal_brieskorn_examples():
 
 def test_orbit_spec_recomputes_isotropy():
     wv = make_weight_vector([4, 4, 5, 14])
-    spec = orbit_spec(wv, [0, 1])
-    assert spec.isotropy == 4
-    assert orbit_spec(wv, [0, 1, 2, 3]).isotropy == 1
+    assert orbit_spec(wv, [0, 1]) == (frozenset({0, 1}), 4)
+    assert orbit_spec(wv, [0, 1, 2, 3]) == (frozenset({0, 1, 2, 3}), 1)
     with pytest.raises(DomainError):
         orbit_spec(wv, [])
     with pytest.raises(DomainError):
@@ -221,7 +251,7 @@ def test_triple_agreement_random():
 
 def test_loop_and_winding_bridge():
     for w in ([4, 4, 5, 14], [1, 1], [5, 5, 5, 2], [1, 2, 3, 4, 5]):
-        space = WPSpace(make_weight_vector(w))
+        space = make_weight_vector(w)
         b = b_constant(space)
         assert 2 * det_winding(w).winding == mu_principal(space).index
         assert det_winding(w).winding == b == sum(w)
@@ -231,7 +261,7 @@ def test_principal_loop_as_diagonal_path():
     # the principal orbit of P(w) is the diagonal loop with rates 2*w_j on
     # [0,1]; componentwise addition must reproduce the principal index
     for w in ([4, 4, 5, 14], [1, 1], [5, 5, 5, 2]):
-        assert sum(scalar_cz(2 * wj) for wj in w) == mu_principal(WPSpace(make_weight_vector(w))).index
+        assert sum(scalar_cz(2 * wj) for wj in w) == mu_principal(make_weight_vector(w)).index
 
 
 def test_brieskorn_stratum_identities_random():
@@ -264,12 +294,12 @@ def test_nonprincipal_parity_and_consistency_random():
         d = math.gcd(*(w[j] for j in support))
         if d == 1:
             report = mu_orbit_wps(wv, support)
-            assert report.index == mu_principal(WPSpace(wv)).index
+            assert report.index == mu_principal(wv).index
             continue
         if len(support) >= 2:
             # the in-stratum term is itself a principal index of the reduced stratum
             in_stratum = 2 * sum(w[j] // d for j in support)
-            reduced = WPSpace(make_weight_vector([w[j] // d for j in support]))
+            reduced = make_weight_vector([w[j] // d for j in support])
             assert in_stratum == mu_principal(reduced).index
         try:
             report = mu_orbit_wps(wv, support)

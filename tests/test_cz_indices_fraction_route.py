@@ -65,8 +65,7 @@ def fraction_principal_brieskorn(be):
 
 def fraction_orbit_wps(w, support, allow_extrapolation):
     wv = make_weight_vector(w)
-    spec = orbit_spec(wv, support)
-    s, d = spec.support, spec.isotropy
+    s, d = orbit_spec(wv, support)
     notes = []
     if d == 1:
         b = sum(wv.w)
@@ -105,8 +104,7 @@ def fraction_orbit_wps(w, support, allow_extrapolation):
 
 def fraction_orbit_brieskorn(be, support, allow_extrapolation):
     wv = brieskorn_to_wci(be).weights
-    spec = orbit_spec(wv, support)
-    s, d = spec.support, spec.isotropy
+    s, d = orbit_spec(wv, support)
     if len(s) < 3:
         raise UncoveredCaseError(
             f"support of size {len(s)} is uncovered: the restricted form must keep at least "

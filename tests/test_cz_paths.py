@@ -20,7 +20,7 @@ from czorb.cz_paths import (
     scalar_index,
     unwrapped_winding_phase,
 )
-from czorb.errors import DomainError
+from czorb.errors import ConvergenceError, DomainError
 from czorb.numeric_verify import DEFAULT_EVAL_BUDGET
 
 
@@ -366,5 +366,15 @@ def test_det_winding_refuses_work_over_the_budget_before_sampling(monkeypatch, r
 
     monkeypatch.setattr(cz_paths, "unwrapped_winding_phase", kernel_must_not_run)
     budget = eval_budget or DEFAULT_EVAL_BUDGET
-    with pytest.raises(DomainError, match=f"budget {budget}"):
+    samples = 4 * sum(rates) + 16
+    match = rf"\({len(rates)} rates x {samples} samples\) than the evaluation budget {budget}$"
+    with pytest.raises(DomainError, match=match):
         det_winding(rates, budget)
+
+
+def test_det_winding_refuses_a_phase_that_is_not_a_whole_number_of_turns(monkeypatch):
+    # A kernel 0.2*pi off the true phase 2*pi*27 leaves a residual of a tenth of a turn.
+    monkeypatch.setattr(cz_paths, "unwrapped_winding_phase", lambda rates, samples: 2 * math.pi * 27.1)
+    with pytest.raises(ConvergenceError, match="phase unwrap residual 0.1000 exceeds 0.01") as info:
+        det_winding([4, 4, 5, 14])
+    assert info.value.achieved_error == pytest.approx(0.1)

@@ -11,7 +11,7 @@ from czorb.orbifold_topology import (
     teardrop_homology,
     teardrop_orbifold_chern,
 )
-from czorb.spaces import WPSpace, b_constant
+from czorb.spaces import b_constant
 from czorb.weights import make_weight_vector, symplectic_area
 
 Z = AbelianGroupDescriptor("free", rank=1)
@@ -112,5 +112,5 @@ def test_teardrop_is_the_weighted_projective_line():
     # from the weights (1, m) alone.
     for m in range(1, 41):
         wv = make_weight_vector([1, m])
-        assert teardrop_orbifold_chern(m) == b_constant(WPSpace(wv)) * -symplectic_area(wv)
-        assert mu_principal(WPSpace(wv)).index == 2 * m * teardrop_orbifold_chern(m)
+        assert teardrop_orbifold_chern(m) == b_constant(wv) * -symplectic_area(wv)
+        assert mu_principal(wv).index == 2 * m * teardrop_orbifold_chern(m)

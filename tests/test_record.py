@@ -12,14 +12,12 @@ from czorb import (
     Branch,
     BrieskornExponents,
     CZReport,
-    OrbitSpec,
     QuadratureResult,
     TheoremCheck,
     WCISpace,
     WeightInvariants,
     WeightVector,
     WindingResult,
-    WPSpace,
 )
 from czorb.exact_arith import Factorization
 
@@ -32,7 +30,6 @@ CASES = {
         "WeightInvariants(sum=5, product=6, d=(3, 2), e=(2, 3), a_w=6, reduced=WeightVector(w=(1, 1)), "
         "well_formed=False)",
     ),
-    "WPSpace": (lambda: WPSpace(WeightVector((4, 4, 5, 14))), "WPSpace(weights=WeightVector(w=(4, 4, 5, 14)))"),
     "WCISpace": (
         lambda: WCISpace(WeightVector((1, 1, 1, 1, 1)), (3,)),
         "WCISpace(weights=WeightVector(w=(1, 1, 1, 1, 1)), degrees=(3,))",
@@ -51,7 +48,6 @@ CASES = {
         lambda: QuadratureResult(value=-0.5, estimated_error=2.5e-12, evaluations=63),
         "QuadratureResult(value=-0.5, estimated_error=2.5e-12, evaluations=63)",
     ),
-    "OrbitSpec": (lambda: OrbitSpec(frozenset({0, 1}), 4), "OrbitSpec(support=frozenset({0, 1}), isotropy=4)"),
     "CZReport": (
         lambda: CZReport(8, Branch.NONPRINCIPAL_WPS, notes=("a note",)),
         "CZReport(index=8, branch=<Branch.NONPRINCIPAL_WPS: 'nonprincipal-wps'>, extrapolated=False, "
@@ -73,7 +69,6 @@ EMPTY = inspect.Parameter.empty
 SIGNATURES = {
     "WeightVector": [("w", EMPTY)],
     "WeightInvariants": [(name, EMPTY) for name in ("sum", "product", "d", "e", "a_w", "reduced", "well_formed")],
-    "WPSpace": [("weights", EMPTY)],
     "WCISpace": [("weights", EMPTY), ("degrees", EMPTY)],
     "BrieskornExponents": [("a", EMPTY), ("l", EMPTY), ("l2", EMPTY)],
     "TheoremCheck": [
@@ -84,7 +79,6 @@ SIGNATURES = {
     ],
     "WindingResult": [("winding", EMPTY), ("residual", EMPTY), ("samples", EMPTY)],
     "QuadratureResult": [("value", EMPTY), ("estimated_error", EMPTY), ("evaluations", EMPTY)],
-    "OrbitSpec": [("support", EMPTY), ("isotropy", EMPTY)],
     "CZReport": [("index", EMPTY), ("branch", EMPTY), ("extrapolated", False), ("b_constant", None), ("notes", ())],
     "Factorization": [("pairs", EMPTY)],
     "AbelianGroupDescriptor": [("kind", EMPTY), ("rank", 0), ("order", 0)],

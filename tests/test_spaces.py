@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 import czorb
 from czorb.errors import DomainError
 from czorb.spaces import (
-    WPSpace,
     brieskorn_to_wci,
     check_theorem_hypotheses,
     compute_l2,
@@ -163,7 +162,7 @@ def test_wci_codimension_bound():
 
 
 def test_check_theorem_hypotheses_wps():
-    report = check_theorem_hypotheses(WPSpace(make_weight_vector([4, 4, 5, 14])))
+    report = check_theorem_hypotheses(make_weight_vector([4, 4, 5, 14]))
     assert report.b == 27
     assert report.simply_connected is True
     assert report.manifold_condition == "assumed, not checked"
@@ -176,7 +175,7 @@ def test_check_theorem_hypotheses_wci():
 
 
 def test_check_theorem_hypotheses_refuses_other_types():
-    with pytest.raises(DomainError, match="got BrieskornExponents"):
+    with pytest.raises(DomainError, match="not BrieskornExponents"):
         check_theorem_hypotheses(make_brieskorn_exponents([2, 2, 2, 5]))
 
 
