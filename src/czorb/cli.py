@@ -54,8 +54,10 @@ from .cz_indices import (
     mu_principal_brieskorn,
 )
 from .cz_paths import crossing_oracle_scalar, det_winding, scalar_cz
-from .errors import ConvergenceError, CzorbError, DomainError, NonCoprimeError, check_int, is_int, to_float
-from .numeric_verify import DEFAULT_EVAL_BUDGET, chart_integral
+from .errors import (
+    DEFAULT_EVAL_BUDGET, ConvergenceError, CzorbError, DomainError, NonCoprimeError, check_int, is_int, to_float
+)
+from .numeric_verify import chart_integral
 from .orbifold_topology import (
     p_star_factor,
     teardrop_cohomology,
@@ -90,10 +92,7 @@ def _error_payload(exc: CzorbError) -> dict:
     if isinstance(exc, NonCoprimeError):
         return {"type": "non-coprime", "gcd": exc.gcd, "message": str(exc)}
     if isinstance(exc, ConvergenceError):
-        payload = {"type": "convergence", "message": str(exc)}
-        if exc.achieved_error is not None:
-            payload["achieved_error"] = exc.achieved_error
-        return payload
+        return {"type": "convergence", "message": str(exc), "achieved_error": exc.achieved_error}
     if exc.exit_code == 3:
         return {"type": "uncovered-case", "message": str(exc)}
     return {"type": "domain", "message": str(exc)}
@@ -114,68 +113,57 @@ def _csv_ints(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected a comma-separated list of integers, got {text!r}")
 
 
-def _portable(text: str) -> bool:
-    """Whether Fraction reads `text` alike on every supported Python: 3.11
-    added `_` digit separators, and 3.12 spaces around the `/`."""
-    return "_" not in text and not any(map(str.isspace, text.strip()))
-
-
-def _rational_arg(text: str) -> Fraction:
-    try:
-        if _portable(text):
-            return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        pass
-    raise argparse.ArgumentTypeError(f"expected a rational p/q or an integer, got {text!r}")
-
-
-def _check_int(name: str, value) -> int:
-    return check_int(f"batch field {name!r}", value)
-
-
-def _check_int_list(name: str, value) -> list[int]:
+def _check_int_list(what: str, value) -> list[int]:
     if not isinstance(value, list) or not all(map(is_int, value)):
-        raise DomainError(f"batch field {name!r} must be a list of integers, got {value!r}")
+        raise DomainError(f"{what} must be a list of integers, got {value!r}")
     return value
 
 
-def _check_bool(name: str, value) -> bool:
+def _check_bool(what: str, value) -> bool:
     if not isinstance(value, bool):
-        raise DomainError(f"batch field {name!r} must be a boolean, got {value!r}")
+        raise DomainError(f"{what} must be a boolean, got {value!r}")
     return value
 
 
-def _check_rational(name: str, value) -> Fraction:
+def _check_rational(what: str, value) -> Fraction:
     if isinstance(value, dict):
         parts = (value.get("num"), value.get("den"))
         usable = all(map(is_int, parts))
     else:
         parts = (value,)
-        usable = (isinstance(value, str) and _portable(value)) or isinstance(value, Fraction) or is_int(value)
+        # Fraction reads a string alike on every supported Python only without
+        # the `_` digit separators of 3.11 and the spaces around `/` of 3.12.
+        portable = isinstance(value, str) and "_" not in value and not any(map(str.isspace, value.strip()))
+        usable = portable or is_int(value)
     if usable:
         try:
             return Fraction(*parts)
         except (ValueError, ZeroDivisionError):
             pass
-    raise DomainError(f"batch field {name!r} must be a rational ('p/q', integer, or num/den), got {value!r}")
+    raise DomainError(f"{what} must be a rational ('p/q', integer, or num/den), got {value!r}")
 
 
-def _check_number(name: str, value) -> float:
-    return to_float(f"batch field {name!r}", value)
+def _rational_arg(text: str) -> str:
+    """The argv text, kept as a batch line holds it, once _check_rational reads it."""
+    try:
+        _check_rational("argument", text)
+    except DomainError:
+        raise argparse.ArgumentTypeError(f"expected a rational p/q or an integer, got {text!r}") from None
+    return text
 
 
 class FieldType(namedtuple("FieldType", "add_argument check")):
     """`add_argument`: its keyword arguments to ArgumentParser.add_argument;
-    `check`: (field name, record value) -> value, or DomainError."""
+    `check`: (what, record value) -> value, or DomainError naming `what`."""
 
     __slots__ = ()
 
 
 INTS = FieldType({"type": _csv_ints}, _check_int_list)
-INT = FieldType({"type": int}, _check_int)
+INT = FieldType({"type": int}, check_int)
 FLAG = FieldType({"action": "store_true"}, _check_bool)
 RATIONAL = FieldType({"type": _rational_arg}, _check_rational)
-NUMBER = FieldType({"type": float}, _check_number)
+NUMBER = FieldType({"type": float}, to_float)
 
 REQUIRED = object()
 
@@ -259,24 +247,21 @@ def compute_orbit_brieskorn(exponents: list[int], support: list[int], allow_extr
 
 
 def compute_teardrop(m: int, degree: int | None) -> dict:
+    # chern and p_star first: they refuse a cone order below 1.
     payload = {
         "m": m,
         "chern": _rational_json(teardrop_orbifold_chern(m)),
         "p_star": _rational_json(p_star_factor(m)),
     }
-    if degree is not None:
-        payload["degree"] = degree
-        payload["homology"] = str(teardrop_homology(m, degree))
-        payload["cohomology"] = str(teardrop_cohomology(m, degree))
+    degrees = range(TEARDROP_TABLE_MAX_DEGREE + 1) if degree is None else (degree,)
+    rows = [
+        {"degree": q, "homology": str(teardrop_homology(m, q)), "cohomology": str(teardrop_cohomology(m, q))}
+        for q in degrees
+    ]
+    if degree is None:
+        payload["table"] = rows
     else:
-        payload["table"] = [
-            {
-                "degree": q,
-                "homology": str(teardrop_homology(m, q)),
-                "cohomology": str(teardrop_cohomology(m, q)),
-            }
-            for q in range(TEARDROP_TABLE_MAX_DEGREE + 1)
-        ]
+        payload.update(rows[0])
     return payload
 
 
@@ -285,14 +270,14 @@ def compute_verify_lemma42(w0: int, w1: int, tol: float) -> dict:
     expected = Fraction(-1, w0)
     return {
         "check": "lemma42",
-        "w0": w0,
-        "w1": w1,
-        "tol": tol,
-        "value": result.value,
-        "expected": _rational_json(expected),
         "error_estimate": result.estimated_error,
         "evaluations": result.evaluations,
+        "expected": _rational_json(expected),
         "ok": abs(Fraction(result.value) - expected) <= Fraction(tol) / w0,
+        "tol": tol,
+        "value": result.value,
+        "w0": w0,
+        "w1": w1,
     }
 
 
@@ -300,12 +285,12 @@ def compute_verify_winding(rates: list[int]) -> dict:
     result = det_winding(rates, _eval_budget())
     return {
         "check": "winding",
+        "ok": result.winding == sum(rates),
         "rates": list(rates),
-        "winding": result.winding,
-        "sum_rates": sum(rates),
         "residual": result.residual,
         "samples": result.samples,
-        "ok": result.winding == sum(rates),
+        "sum_rates": sum(rates),
+        "winding": result.winding,
     }
 
 
@@ -313,8 +298,8 @@ def compute_verify_scalar(T: Fraction) -> dict:
     closed = scalar_cz(T)
     oracle = crossing_oracle_scalar(T, _eval_budget())
     return {
-        "check": "scalar-cz",
         "T": _rational_json(T),
+        "check": "scalar-cz",
         "closed_form": closed,
         "crossing_oracle": oracle,
         "ok": closed == oracle,
@@ -339,12 +324,10 @@ _LABELS = {"well_formed": "well-formed", "symplectic_area": "symplectic-area", "
 
 
 def _render(payload: dict) -> list[str]:
-    """Aligned key/value lines of a payload, in insertion order (sorted for
-    a verify payload). A None value is skipped, and each note gets its own
-    `note` line."""
+    """Aligned key/value lines of a payload, in insertion order. A None
+    value is skipped, and each note gets its own `note` line."""
     pairs = []
-    for key in sorted(payload) if "check" in payload else payload:
-        value = payload[key]
+    for key, value in payload.items():
         if key == "notes":
             pairs += [("note", note) for note in value]
         elif value is not None:
@@ -423,8 +406,8 @@ COMMAND_HELP = {
     "batch": "run newline-delimited JSON records",
 }
 
-_KINDS = {op.kind: op for op in OPERATIONS if op.check is None}
-_CHECKS = {op.check: op for op in OPERATIONS if op.check is not None}
+# A verify record's operation is keyed by its check, any other by its kind.
+_OPERATIONS = {op.check or op.kind: op for op in OPERATIONS}
 
 
 def _missing(name: str) -> DomainError:
@@ -433,18 +416,15 @@ def _missing(name: str) -> DomainError:
 
 def _operation(record: dict) -> Operation:
     kind = record.get("kind")
-    if kind != "verify":
-        # A kind may be any JSON value, including an unhashable one.
-        op = _KINDS.get(kind) if isinstance(kind, str) else None
-        if op is None:
-            raise DomainError(f"unknown batch record kind {kind!r}")
-        return op
-    if "check" not in record:
-        raise _missing("check")
-    check = record["check"]
-    op = _CHECKS.get(check) if isinstance(check, str) else None
-    if op is None:
-        raise DomainError(f"unknown verify check {check!r}")
+    key, unknown = kind, "batch record kind"
+    if kind == "verify":
+        if "check" not in record:
+            raise _missing("check")
+        key, unknown = record["check"], "verify check"
+    # A kind or check may be any JSON value, including an unhashable one.
+    op = _OPERATIONS.get(key) if isinstance(key, str) else None
+    if op is None or op.kind != kind:
+        raise DomainError(f"unknown {unknown} {key!r}")
     return op
 
 
@@ -459,7 +439,7 @@ def run(record: dict) -> dict:
     values = {}
     for field in op.fields:
         if field.name in record:
-            values[field.name] = field.type.check(field.name, record[field.name])
+            values[field.name] = field.type.check(f"batch field {field.name!r}", record[field.name])
         elif field.default is REQUIRED:
             raise _missing(field.name)
         else:
@@ -550,7 +530,8 @@ def _batch_text(out: dict, as_json: bool) -> str:
     if as_json:
         return dumps(out)
     tag = out["id"]
-    if not isinstance(tag, str):
+    # A string id that cannot print on one line is written as JSON.
+    if not (isinstance(tag, str) and tag.isprintable()):
         tag = "-" if tag is None else dumps(tag)
     return f"{tag}: {out['status']} {dumps(out.get('result', out.get('error')))}"
 
@@ -691,7 +672,15 @@ def main(argv=None) -> int:
 
 
 def entry_point() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout, as `czorb batch FILE | head` does. Python
+        # flushes stdout again at exit; devnull keeps that flush quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -41,8 +41,7 @@ import operator
 from collections.abc import Iterable
 from fractions import Fraction
 
-from .errors import ConvergenceError, DomainError, check_int, check_ints, is_int, to_float
-from .numeric_verify import DEFAULT_EVAL_BUDGET
+from .errors import DEFAULT_EVAL_BUDGET, ConvergenceError, DomainError, check_budget, check_ints, is_int, to_float
 from .record import Record
 
 RationalLike = Fraction | int
@@ -88,9 +87,8 @@ def crossing_oracle_scalar(T: RationalLike, eval_budget: int = DEFAULT_EVAL_BUDG
     T = _positive_duration(T, "crossing_oracle_scalar")
     num, den = T.numerator, T.denominator
     step = 2 * den
-    if num // step + 1 > check_int("evaluation budget", eval_budget):
-        # The count may have too many digits to print.
-        raise DomainError(f"crossing_oracle_scalar needs more crossings than the evaluation budget {eval_budget}")
+    # The count may have too many digits to print, so the refusal omits it.
+    check_budget(num // step + 1, eval_budget, "crossing_oracle_scalar needs more crossings")
     index = 0
     for t in range(0, num + 1, step):  # t = 2*k*den for the k-th crossing
         index += 1 if t == 0 or t == num else 2
@@ -194,12 +192,9 @@ def det_winding(integer_rates: Iterable[int], eval_budget: int = DEFAULT_EVAL_BU
     for r in rates:
         to_float("det_winding rate", r)
     samples = 4 * sum(abs(r) for r in rates) + 16
-    if samples * len(rates) > check_int("evaluation budget", eval_budget):
-        # Every rate passed to_float, so samples has too few digits to fail str().
-        raise DomainError(
-            f"det_winding needs more evaluations ({len(rates)} rates x {samples} samples) "
-            f"than the evaluation budget {eval_budget}"
-        )
+    # Every rate passed to_float, so samples has too few digits to fail str().
+    work = f"det_winding needs more evaluations ({len(rates)} rates x {samples} samples)"
+    check_budget(samples * len(rates), eval_budget, work)
     total = unwrapped_winding_phase(rates, samples)
     turns = total / (2.0 * math.pi)
     winding = round(turns)

@@ -1,10 +1,13 @@
-"""Exception hierarchy shared by all czorb modules, and the input rules
-that every entry point checks with: is_int, check_int, as_tuple, check_ints
-and to_float.
+"""Exception hierarchy shared by all czorb modules, the input rules that
+every entry point checks with (is_int, check_int, as_tuple, check_ints,
+to_float) and the oracles' work budget (DEFAULT_EVAL_BUDGET, check_budget).
 
 Each class maps to one CLI exit code, so library errors translate to
 process status without string matching.
 """
+
+
+DEFAULT_EVAL_BUDGET = 10**6
 
 
 class CzorbError(Exception):
@@ -44,7 +47,7 @@ class ConvergenceError(CzorbError):
 
     exit_code = 4
 
-    def __init__(self, message: str, achieved_error: float | None = None):
+    def __init__(self, message: str, achieved_error: float):
         self.achieved_error = achieved_error
         super().__init__(message)
 
@@ -95,3 +98,10 @@ def to_float(what: str, x) -> float:
         return float(x)
     except OverflowError:
         raise DomainError(f"{what} of {x.bit_length()} bits is outside the float range") from None
+
+
+def check_budget(needed: int, budget, work: str) -> None:
+    """DomainError unless `budget` is an integer (see check_int) of at least
+    `needed`; the refusal reads `work` and "than the evaluation budget"."""
+    if needed > check_int("evaluation budget", budget):
+        raise DomainError(f"{work} than the evaluation budget {budget}")

@@ -32,11 +32,9 @@ from fractions import Fraction
 from itertools import repeat
 from operator import truediv
 
-from .errors import ConvergenceError, DomainError, check_int, is_int, to_float
+from .errors import DEFAULT_EVAL_BUDGET, ConvergenceError, DomainError, check_int, is_int, to_float
 from .record import Record
 from .weights import WeightVector, make_weight_vector, symplectic_area
-
-DEFAULT_EVAL_BUDGET = 10**6
 
 # The window |t| <= asinh(80/pi) keeps ln(s) = (pi/2)*sinh(t) within +-40;
 # beyond it the integrand's s**2 and s**-2 tails are below e**-80.

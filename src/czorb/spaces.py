@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
+from itertools import repeat
 
 from .errors import DomainError, as_tuple, check_ints
 # Unused here; perfbench's trace points still name czorb.spaces.factorize and ord_p.
@@ -88,11 +89,19 @@ def make_brieskorn_exponents(a: Iterable[int]) -> BrieskornExponents:
     return BrieskornExponents(a, math.lcm(*a), compute_l2(a))
 
 
+def _brieskorn_weights(b: BrieskornExponents) -> list[int]:
+    """The weights l/a_j; AssertionError unless every a_j divides l."""
+    weights, remainders = zip(*map(divmod, repeat(b.l), b.a))
+    if any(remainders):
+        raise AssertionError(f"non-integer index: l={b.l} is not a multiple of every exponent of {b.a}")
+    return list(weights)
+
+
 def brieskorn_to_wci(b: BrieskornExponents) -> WCISpace:
     """View the Brieskorn orbifold as the degree-l hypersurface with weights
     l/a_j. The converted weights always have gcd 1: for each prime p | l some
     exponent attains the maximal valuation, making its weight p-free."""
-    weights = [b.l // aj for aj in b.a]
+    weights = _brieskorn_weights(b)
     try:
         wv = make_weight_vector(weights)
     except DomainError as exc:
@@ -109,10 +118,7 @@ def b_constant(space: Space | BrieskornExponents) -> int:
     if isinstance(space, WCISpace):
         return sum(space.weights.w) - sum(space.degrees)
     if isinstance(space, BrieskornExponents):
-        quotients, remainders = zip(*(divmod(space.l, aj) for aj in space.a))
-        if any(remainders):
-            raise AssertionError(f"non-integer index: l={space.l} is not a multiple of every exponent of {space.a}")
-        return sum(quotients) - space.l
+        return sum(_brieskorn_weights(space)) - space.l
     return sum(make_weight_vector(space).w)
 
 

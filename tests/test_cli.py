@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import czorb
 from czorb import cli, cz_paths, numeric_verify
 from czorb.cli import FLAG, INT, INTS, NUMBER, OPERATIONS, RATIONAL, REQUIRED, dumps, main, run
-from czorb.errors import CzorbError
+from czorb.errors import CzorbError, DomainError
 
 
 def run_cli(capsys, *argv):
@@ -220,6 +220,22 @@ def test_batch_text_prints_an_id_that_is_not_a_string_as_json(capsys, tmp_path):
     assert tags == ["7", "true", '{"a":"x"}', "[1,2]", "-", "x"]
 
 
+def test_batch_text_writes_a_string_id_that_is_not_printable_as_json(tmp_path):
+    # "\udc80" is a lone surrogate, which a strict UTF-8 stdout cannot write,
+    # and "a\nb" would split its record over two lines.
+    ids = ["\udc80", "a\nb", "next"]
+    path = tmp_path / "ids.ndjson"
+    path.write_text("".join(json.dumps({"id": i, "kind": "teardrop", "m": 3}) + "\n" for i in ids))
+    env = dict(_child_env(), PYTHONIOENCODING="utf-8")
+    out = subprocess.run(
+        [sys.executable, "-m", "czorb.cli", "batch", str(path)], capture_output=True, env=env, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stderr == b""
+    tags = [line.partition(": ok ")[0] for line in out.stdout.decode("utf-8").splitlines()]
+    assert tags == ['"\\udc80"', '"a\\nb"', "next"]
+
+
 def test_batch_empty_file(capsys, tmp_path):
     path = tmp_path / "empty.ndjson"
     path.write_text("")
@@ -257,8 +273,8 @@ def test_batch_reports_an_internal_error_and_runs_the_next_record(capsys, tmp_pa
     def boom(m, degree):
         raise ZeroDivisionError("division by zero")
 
-    teardrop = cli._KINDS["teardrop"]
-    monkeypatch.setitem(cli._KINDS, "teardrop", teardrop._replace(compute=boom))
+    teardrop = cli._OPERATIONS["teardrop"]
+    monkeypatch.setitem(cli._OPERATIONS, "teardrop", teardrop._replace(compute=boom))
     lines = [
         json.dumps({"id": "boom", "kind": "teardrop", "m": 3}),
         json.dumps({"id": "good", "kind": "wps", "weights": [4, 4, 5, 14]}),
@@ -338,6 +354,11 @@ def test_batch_refuses_a_rational_that_python_versions_read_differently(capsys, 
     }
     assert recs[1]["error"]["type"] == "domain"
     assert recs[2]["result"]["closed_form"] == 1000
+
+
+def test_run_refuses_a_rational_that_no_batch_line_holds():
+    with pytest.raises(DomainError, match=r"batch field 'T' must be a rational .*, got Fraction\(7, 2\)"):
+        run({"kind": "verify", "check": "scalar-cz", "T": Fraction(7, 2)})
 
 
 def test_batch_reports_a_winding_unwrap_fault_and_runs_the_next_record(capsys, tmp_path, monkeypatch):
@@ -636,6 +657,19 @@ def test_batch_unreadable_file(capsys):
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ({"kind": "lemma42"}, "unknown batch record kind 'lemma42'"),
+        ({"kind": "verify", "check": "weights"}, "unknown verify check 'weights'"),
+    ],
+)
+def test_a_check_is_not_a_kind_and_a_kind_is_not_a_check(record, message):
+    with pytest.raises(DomainError) as info:
+        run(record)
+    assert str(info.value) == message
+
+
 def test_batch_verify_records(capsys, tmp_path):
     records = [
         {"id": "v1", "kind": "verify", "check": "scalar-cz", "T": "5/4"},
@@ -659,6 +693,27 @@ def _child_env():
     src = os.path.dirname(os.path.dirname(czorb.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env
+
+
+def test_batch_into_a_closed_pipe_exits_1_quietly(tmp_path):
+    # 20000 records print far more than a pipe buffer holds, so the batch is
+    # still writing when the reader closes its end.
+    path = tmp_path / "big.ndjson"
+    path.write_text((json.dumps({"kind": "wps", "weights": [4, 4, 5, 14]}) + "\n") * 20000)
+    err = tmp_path / "stderr"
+    with open(err, "wb") as stderr:
+        child = subprocess.Popen(
+            [sys.executable, "-m", "czorb.cli", "batch", str(path), "--json"],
+            stdout=subprocess.PIPE,
+            stderr=stderr,
+            env=_child_env(),
+        )
+        first = child.stdout.readline()
+        child.stdout.close()
+        code = child.wait(timeout=120)
+    assert json.loads(first)["status"] == "ok"
+    assert code == 1
+    assert err.read_bytes() == b""
 
 
 def test_module_entry_point_lists_every_subcommand(capsys):

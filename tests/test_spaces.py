@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import czorb
+from czorb.cz_indices import mu_orbit_brieskorn, mu_principal_brieskorn
 from czorb.errors import DomainError
 from czorb.spaces import (
+    BrieskornExponents,
     brieskorn_to_wci,
     check_theorem_hypotheses,
     compute_l2,
@@ -195,3 +197,20 @@ def test_converted_weights_properties_random():
         inv = invariants(wci.weights)
         assert inv.a_w == be.l // be.l2
         assert inv.well_formed == (be.l == be.l2)
+
+
+def test_both_brieskorn_routes_refuse_an_l_that_is_not_a_multiple_of_every_exponent():
+    be = BrieskornExponents((2, 3, 5, 7), 100, 1)
+    message = r"non-integer index: l=100 is not a multiple of every exponent of \(2, 3, 5, 7\)"
+    with pytest.raises(AssertionError, match=message):
+        mu_principal_brieskorn(be)
+    with pytest.raises(AssertionError, match=message):
+        mu_orbit_brieskorn(be, [0, 2, 3], True)
+    with pytest.raises(AssertionError, match=message):
+        brieskorn_to_wci(be)
+
+
+def test_brieskorn_to_wci_refuses_converted_weights_that_share_a_factor():
+    # l = 4 is not lcm(2, 2, 2, 2), so every weight l/a_j is 2.
+    with pytest.raises(AssertionError, match=r"converted Brieskorn weights \[2, 2, 2, 2\] invalid"):
+        brieskorn_to_wci(BrieskornExponents((2, 2, 2, 2), 4, 4))

@@ -64,6 +64,14 @@ def test_make_weight_vector_returns_a_weight_vector_unchanged():
     assert make_weight_vector(wv) is wv
 
 
+def test_a_weight_vector_reads_as_the_sequence_of_its_weights():
+    wv = make_weight_vector([4, 4, 5, 14])
+    assert list(wv) == list(wv.w)
+    assert len(wv) == len(wv.w) == 4
+    assert wv[-1] == wv.w[-1] == 14
+    assert list(invariants(wv).reduced) == list(invariants(wv).reduced.w)
+
+
 def test_invariants_worked_example():
     inv = invariants(make_weight_vector([4, 4, 5, 14]))
     assert inv.sum == 27
