@@ -72,10 +72,6 @@ EXIT_CHECK_FAILED = 5
 EXIT_INTERNAL = 6
 
 
-class UsageError(Exception):
-    """Bad argv combination that argparse alone cannot express."""
-
-
 # ---------------------------------------------------------------------------
 # serialization helpers
 
@@ -86,16 +82,6 @@ def dumps(obj) -> str:
 
 def _rational_json(x: Fraction) -> dict:
     return {"num": x.numerator, "den": x.denominator}
-
-
-def _error_payload(exc: CzorbError) -> dict:
-    if isinstance(exc, NonCoprimeError):
-        return {"type": "non-coprime", "gcd": exc.gcd, "message": str(exc)}
-    if isinstance(exc, ConvergenceError):
-        return {"type": "convergence", "message": str(exc), "achieved_error": exc.achieved_error}
-    if exc.exit_code == 3:
-        return {"type": "uncovered-case", "message": str(exc)}
-    return {"type": "domain", "message": str(exc)}
 
 
 def _too_long() -> DomainError:
@@ -135,6 +121,16 @@ def _check_rational(what: str, value) -> Fraction:
         # the `_` digit separators of 3.11 and the spaces around `/` of 3.12.
         portable = isinstance(value, str) and "_" not in value and not any(map(str.isspace, value.strip()))
         usable = portable or is_int(value)
+        if portable:
+            # Fraction builds 10**exponent, so an exponent past the int-string
+            # digit limit, the bound JSON puts on a num or den, is refused first.
+            limit = sys.get_int_max_str_digits()
+            try:
+                exponent = abs(int(value.lower().partition("e")[2] or 0))
+            except ValueError:  # not an integer, or too long for int()
+                exponent, usable = 0, False
+            if 0 < limit < exponent:
+                raise DomainError(f"{what} has an exponent past {limit} in magnitude, got {value!r}")
     if usable:
         try:
             return Fraction(*parts)
@@ -435,6 +431,8 @@ def run(record: dict) -> dict:
     `{"kind": "orbit-wps", "weights": [4, 4, 5, 14], "support": [0, 1]}`.
     A refused record raises the CzorbError that batch mode reports.
     """
+    if not isinstance(record, dict):
+        raise DomainError("record must be a JSON object")
     op = _operation(record)
     values = {}
     for field in op.fields:
@@ -474,20 +472,26 @@ def _malformed(lineno: int, msg: str) -> tuple[dict, int]:
 
 
 def _error(exc: CzorbError) -> tuple[dict, int]:
-    return {"status": "error", "error": _error_payload(exc)}, exc.exit_code
+    if isinstance(exc, NonCoprimeError):
+        error = {"type": "non-coprime", "gcd": exc.gcd, "message": str(exc)}
+    elif isinstance(exc, ConvergenceError):
+        error = {"type": "convergence", "message": str(exc), "achieved_error": exc.achieved_error}
+    elif exc.exit_code == 3:
+        error = {"type": "uncovered-case", "message": str(exc)}
+    else:
+        error = {"type": "domain", "message": str(exc)}
+    return {"status": "error", "error": error}, exc.exit_code
 
 
-def _outcome(record, where: str) -> tuple[dict, int]:
+def _outcome(record: dict, where: str) -> tuple[dict, int]:
     """Compute one record: {"status": "ok", "result": payload} and exit code
     0, or 5 when the payload holds "ok": false; or {"status": "error",
     "error": payload} and the error's exit code. An exception that is not a
     czorb error is a fault in czorb, not in the record: it is reported as an
     `internal` error (exit 6), with its traceback on stderr. `where` begins
-    the messages that name the record, "line N: " in a batch.
+    that error's message, "line N: " in a batch.
     """
     try:
-        if not isinstance(record, dict):
-            raise DomainError(f"{where}record must be a JSON object")
         result = run(record)
     except CzorbError as exc:
         return _error(exc)
@@ -521,9 +525,11 @@ def _run_line(lineno: int, line: str) -> tuple[dict, int]:
         else:
             msg = "nested too deeply"
         return _malformed(lineno, msg)
-    rec_id, kind = (rec.get("id"), rec.get("kind")) if isinstance(rec, dict) else (None, None)
+    if not isinstance(rec, dict):
+        error, code = _error(DomainError(f"line {lineno}: record must be a JSON object"))
+        return {"id": None, "kind": None, **error}, code
     out, code = _outcome(rec, f"line {lineno}: ")
-    return {"id": rec_id, "kind": kind, **out}, code
+    return {"id": rec.get("id"), "kind": rec.get("kind"), **out}, code
 
 
 def _batch_text(out: dict, as_json: bool) -> str:
@@ -622,12 +628,12 @@ def build_parser() -> argparse.ArgumentParser:
             groups[command] = p.add_subparsers(dest=f"{name}_command", required=True, parser_class=_Parser)
             continue
         p.add_argument("--json", action="store_true", help="emit a canonical JSON object")
-        p.set_defaults(ops=ops)
+        p.set_defaults(ops=ops, parser=p)
     return parser
 
 
 def _argv_record(args) -> tuple[Operation, dict]:
-    """The operation that argv selects, and its batch record."""
+    """The operation that argv selects, and its batch record, or a usage error."""
     ops = args.ops
     op = ops[0] if len(ops) == 1 else next(op for op in ops if getattr(args, _dest(op.fields[0])) is not None)
     record = {"kind": op.kind, "check": op.check} if op.check else {"kind": op.kind}
@@ -636,7 +642,11 @@ def _argv_record(args) -> tuple[Operation, dict]:
         if value is not None:
             record[field.name] = value
         elif field.default is REQUIRED:
-            raise UsageError(f"{op.fields[0].spelling} requires {field.spelling}")
+            args.parser.error(f"{op.fields[0].spelling} requires {field.spelling}")
+    # The command takes the options of all its operations; a flag unset is False.
+    for field in (field for other in ops for field in other.fields if field not in op.fields):
+        if getattr(args, _dest(field)) not in (None, False):
+            args.parser.error(f"{op.fields[0].spelling} does not take {field.spelling}")
     return op, record
 
 
@@ -644,17 +654,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "batch":
+            return _run_batch(args)
+        op, record = _argv_record(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-
-    if args.command == "batch":
-        return _run_batch(args)
-
-    try:
-        op, record = _argv_record(args)
-    except UsageError as exc:
-        print(f"czorb: error: {exc}", file=sys.stderr)
-        return 1
     out, code = _outcome(record, "")
     if "result" in out:
         try:

@@ -33,7 +33,7 @@ from itertools import compress
 from .cz_paths import scalar_cz, scalar_index  # noqa: F401
 from .errors import DomainError, UncoveredCaseError, check_ints
 from .record import Record
-from .spaces import BrieskornExponents, Space, WCISpace, b_constant, brieskorn_to_wci
+from .spaces import BrieskornExponents, Space, WCISpace, b_constant, brieskorn_to_wci, make_brieskorn_exponents
 from .weights import WeightVector, make_weight_vector
 
 
@@ -68,14 +68,14 @@ class CZReport(Record):
     _defaults = {"extrapolated": False, "b_constant": None, "notes": ()}
 
 
-def orbit_spec(wv: WeightVector, support: Iterable[int]) -> tuple[frozenset[int], int]:
-    """Validate an orbit support set against a weight vector, and return the
-    orbit's stratum as (support, isotropy): the set of nonzero coordinates
-    and the gcd of the supported weights."""
+def orbit_spec(wv: WeightVector | Iterable[int], support: Iterable[int]) -> tuple[frozenset[int], int]:
+    """Validate an orbit support set against a weight vector or its entries,
+    and return the orbit's stratum as (support, isotropy): the set of nonzero
+    coordinates and the gcd of the supported weights."""
     s = frozenset(check_ints("support", support))
     if not s:
         raise DomainError("orbit support must be nonempty")
-    w = wv.w
+    w = make_weight_vector(wv).w
     if min(s) < 0 or max(s) >= len(w):
         bad = next(j for j in s if not 0 <= j < len(w))
         raise DomainError(f"support index {bad!r} out of range 0..{len(w) - 1}")
@@ -104,9 +104,10 @@ def _trivial_isotropy(space: WeightVector | BrieskornExponents, branch: Branch, 
     return CZReport(index=2 * b, branch=branch, b_constant=b, notes=notes)
 
 
-def mu_principal_brieskorn(be: BrieskornExponents) -> CZReport:
-    """Principal-orbit index of a Brieskorn orbifold: 2*l*(sum(1/a_j) - 1),
-    twice b_constant(be) = sum(l/a_j) - l."""
+def mu_principal_brieskorn(be: BrieskornExponents | Iterable[int]) -> CZReport:
+    """Principal-orbit index of a Brieskorn orbifold, by its exponents or their
+    BrieskornExponents: 2*l*(sum(1/a_j) - 1), twice b_constant = sum(l/a_j) - l."""
+    be = make_brieskorn_exponents(be)
     return _trivial_isotropy(be, Branch.PRINCIPAL_BRIESKORN, full_support=True)
 
 
@@ -203,12 +204,12 @@ def mu_orbit_wps(
 
 
 def mu_orbit_brieskorn(
-    be: BrieskornExponents,
+    be: BrieskornExponents | Iterable[int],
     support: Iterable[int],
     allow_extrapolation: bool = False,
 ) -> CZReport:
-    """Index of the Reeb orbit of a Brieskorn orbifold supported on the given
-    coordinates.
+    """Index of the Reeb orbit of a Brieskorn orbifold, given by its
+    BrieskornExponents or their entries, supported on the given coordinates.
 
     The restricted form must keep at least 3 variables so that the reduced
     principal formula applies to the stratum. Over the weights w_j = l/a_j
@@ -218,6 +219,7 @@ def mu_orbit_brieskorn(
     case. Since d = l/l_S, with l_S the lcm of the supported exponents, the
     in-stratum term equals 2*l_S*(sum_{j in S} 1/a_j - 1); no lcm is taken.
     """
+    be = make_brieskorn_exponents(be)
     wv = brieskorn_to_wci(be).weights
     s, d = orbit_spec(wv, support)
 

@@ -23,13 +23,12 @@ class DomainError(CzorbError, ValueError):
 
 
 class NonCoprimeError(DomainError):
-    """Weight vector entries share a common factor; carries the offending gcd."""
+    """Weight vector entries share a common factor; carries the gcd and the weights."""
 
-    def __init__(self, gcd: int, weights=None):
+    def __init__(self, gcd: int, weights):
         self.gcd = gcd
-        self.weights = tuple(weights) if weights is not None else None
-        detail = f" in {self.weights}" if self.weights else ""
-        super().__init__(f"weights{detail} share a common factor: gcd={gcd}")
+        self.weights = tuple(weights)
+        super().__init__(f"weights in {self.weights} share a common factor: gcd={gcd}")
 
 
 class UncoveredCaseError(CzorbError):

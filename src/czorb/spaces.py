@@ -80,8 +80,11 @@ def compute_l2(a: Iterable[int]) -> int:
     return l2
 
 
-def make_brieskorn_exponents(a: Iterable[int]) -> BrieskornExponents:
-    """Validate a Brieskorn exponent vector (at least 4 entries, all >= 2)."""
+def make_brieskorn_exponents(a: BrieskornExponents | Iterable[int]) -> BrieskornExponents:
+    """Validate a Brieskorn exponent vector (at least 4 entries, all >= 2); a
+    BrieskornExponents is returned as is."""
+    if isinstance(a, BrieskornExponents):
+        return a
     a = as_tuple("Brieskorn exponents", a)
     if len(a) < 4:
         raise DomainError(f"a Brieskorn exponent vector needs at least 4 entries, got {len(a)}")
@@ -97,10 +100,12 @@ def _brieskorn_weights(b: BrieskornExponents) -> list[int]:
     return list(weights)
 
 
-def brieskorn_to_wci(b: BrieskornExponents) -> WCISpace:
-    """View the Brieskorn orbifold as the degree-l hypersurface with weights
-    l/a_j. The converted weights always have gcd 1: for each prime p | l some
-    exponent attains the maximal valuation, making its weight p-free."""
+def brieskorn_to_wci(b: BrieskornExponents | Iterable[int]) -> WCISpace:
+    """View the Brieskorn orbifold (see make_brieskorn_exponents) as the
+    degree-l hypersurface with weights l/a_j. The converted weights always
+    have gcd 1: for each prime p | l some exponent attains the maximal
+    valuation, making its weight p-free."""
+    b = make_brieskorn_exponents(b)
     weights = _brieskorn_weights(b)
     try:
         wv = make_weight_vector(weights)

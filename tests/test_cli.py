@@ -356,6 +356,76 @@ def test_batch_refuses_a_rational_that_python_versions_read_differently(capsys, 
     assert recs[2]["result"]["closed_form"] == 1000
 
 
+@pytest.mark.parametrize("record", [[1, 2], "x", None])
+def test_run_refuses_a_record_that_is_not_an_object(record):
+    with pytest.raises(DomainError, match="^record must be a JSON object$"):
+        run(record)
+
+
+@pytest.mark.parametrize(
+    "argv, last_err",
+    [
+        (["cz", "principal", "--wci", "5,5,5,2"], "--wci requires --degrees"),
+        (["cz", "principal", "--wps", "1,2", "--degrees", "3"], "--wps does not take --degrees"),
+        (["cz", "principal", "--brieskorn", "2,2,2,5", "--degrees", "3"], "--brieskorn does not take --degrees"),
+    ],
+)
+def test_argv_usage_errors_go_through_the_command_parser(capsys, argv, last_err):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: czorb cz principal ")
+    assert err.splitlines()[-1] == f"czorb cz principal: error: {last_err}"
+
+
+def _run_child(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "czorb.cli", *argv], capture_output=True, text=True, env=_child_env(), timeout=20
+    )
+
+
+def test_argv_refuses_a_duration_with_a_huge_exponent_before_reading_it():
+    # Fraction would build 10**100000000 first: over 120 s, where 1e10000000 took 23 s.
+    out = _run_child("verify", "scalar-cz", "--T", "1e100000000")
+    assert (out.returncode, out.stdout) == (1, "")
+    assert out.stderr.splitlines()[-1] == (
+        "czorb verify scalar-cz: error: argument --T: expected a rational p/q or an integer, got '1e100000000'"
+    )
+
+
+def test_batch_refuses_a_duration_with_a_huge_exponent_before_reading_it(tmp_path):
+    path = tmp_path / "huge_t.ndjson"
+    records = [{"kind": "verify", "check": "scalar-cz", "T": t} for t in ("1e10000000", "-1e-100000000", "2")]
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    out = _run_child("batch", str(path), "--json")
+    assert out.returncode == 2, out.stderr
+    recs = [json.loads(line) for line in out.stdout.splitlines()]
+    assert [rec["error"] for rec in recs[:2]] == [
+        {"type": "domain", "message": "batch field 'T' has an exponent past 4300 in magnitude, got '1e10000000'"},
+        {"type": "domain", "message": "batch field 'T' has an exponent past 4300 in magnitude, got '-1e-100000000'"},
+    ]
+    assert recs[2]["status"] == "ok"
+
+
+def test_a_duration_at_the_exponent_bound_meets_the_crossing_budget():
+    with pytest.raises(DomainError, match="needs more crossings than the evaluation budget"):
+        run({"kind": "verify", "check": "scalar-cz", "T": "1e4300"})
+
+
+def test_a_duration_whose_exponent_is_too_long_for_int_is_refused():
+    T = "1e" + "9" * 5000
+    with pytest.raises(DomainError, match=r"batch field 'T' must be a rational .*, got '1e999"):
+        run({"kind": "verify", "check": "scalar-cz", "T": T})
+
+
+def test_a_duration_exponent_is_unbounded_without_an_int_string_limit():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert run({"kind": "verify", "check": "scalar-cz", "T": "1e3"})["closed_form"] == 1000
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_run_refuses_a_rational_that_no_batch_line_holds():
     with pytest.raises(DomainError, match=r"batch field 'T' must be a rational .*, got Fraction\(7, 2\)"):
         run({"kind": "verify", "check": "scalar-cz", "T": Fraction(7, 2)})

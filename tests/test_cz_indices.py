@@ -94,6 +94,28 @@ def test_mu_principal_brieskorn_examples():
     assert mu_principal_brieskorn(make_brieskorn_exponents([2, 3, 5, 7])).index == 74
 
 
+def test_mu_principal_brieskorn_reads_an_exponent_list_as_exponents():
+    # Not as the weights of P(2,2,2,5), whose index is 22.
+    report = mu_principal_brieskorn([2, 2, 2, 5])
+    assert (report.index, report.b_constant, report.branch) == (14, 7, Branch.PRINCIPAL_BRIESKORN)
+
+
+def test_mu_orbit_brieskorn_takes_an_exponent_list():
+    be = make_brieskorn_exponents([2, 2, 2, 5])
+    assert mu_orbit_brieskorn([2, 2, 2, 5], [0, 1, 2]) == mu_orbit_brieskorn(be, [0, 1, 2])
+    assert mu_orbit_brieskorn([2, 2, 2, 5], [0, 1, 2]).index == 3
+
+
+def test_brieskorn_to_wci_takes_an_exponent_list():
+    assert brieskorn_to_wci([2, 2, 2, 5]) == brieskorn_to_wci(make_brieskorn_exponents([2, 2, 2, 5]))
+
+
+def test_orbit_spec_takes_the_entries_of_a_weight_vector():
+    assert orbit_spec([4, 4, 5, 14], [0, 1]) == (frozenset({0, 1}), 4)
+    with pytest.raises(DomainError, match="weights must be a list of integers, not int"):
+        orbit_spec(5, [0])
+
+
 def test_orbit_spec_recomputes_isotropy():
     wv = make_weight_vector([4, 4, 5, 14])
     assert orbit_spec(wv, [0, 1]) == (frozenset({0, 1}), 4)

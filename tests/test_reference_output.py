@@ -5,8 +5,9 @@ every error type. `data/reference.json.out` and `data/reference.human.out`
 are its `czorb batch` output with and without `--json`;
 `data/reference_argv.txt` is a transcript of argv calls, each with its
 stdout, the last line of its stderr (after `! `) and its exit code. The
-expected bytes are the same on Python 3.10 to 3.13, so no call here may
-print a usage line, which argparse words differently by version.
+expected bytes are the same on Python 3.10 to 3.13. A usage error's usage
+line, which argparse words differently by version, comes before that last
+line and is not compared.
 """
 
 import shlex

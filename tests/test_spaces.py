@@ -110,6 +110,7 @@ def test_make_brieskorn_exponents():
     be = make_brieskorn_exponents([2, 2, 2, 5])
     assert be.l == 10
     assert be.l2 == 2
+    assert make_brieskorn_exponents(be) is be
     with pytest.raises(DomainError):
         make_brieskorn_exponents([2, 2, 5])  # too short
     with pytest.raises(DomainError):

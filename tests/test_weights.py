@@ -41,6 +41,13 @@ def test_make_weight_vector_examples():
     with pytest.raises(NonCoprimeError) as excinfo:
         make_weight_vector([2, 4, 6])
     assert excinfo.value.gcd == 2
+    assert excinfo.value.weights == (2, 4, 6)
+    assert str(excinfo.value) == "weights in (2, 4, 6) share a common factor: gcd=2"
+
+
+def test_non_coprime_error_requires_its_weights():
+    with pytest.raises(TypeError):
+        NonCoprimeError(2)
 
 
 def test_make_weight_vector_rejects_bad_input():
