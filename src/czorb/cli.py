@@ -139,15 +139,6 @@ def _check_rational(what: str, value) -> Fraction:
     raise DomainError(f"{what} must be a rational ('p/q', integer, or num/den), got {value!r}")
 
 
-def _rational_arg(text: str) -> str:
-    """The argv text, kept as a batch line holds it, once _check_rational reads it."""
-    try:
-        _check_rational("argument", text)
-    except DomainError:
-        raise argparse.ArgumentTypeError(f"expected a rational p/q or an integer, got {text!r}") from None
-    return text
-
-
 class FieldType(namedtuple("FieldType", "add_argument check")):
     """`add_argument`: its keyword arguments to ArgumentParser.add_argument;
     `check`: (what, record value) -> value, or DomainError naming `what`."""
@@ -158,7 +149,7 @@ class FieldType(namedtuple("FieldType", "add_argument check")):
 INTS = FieldType({"type": _csv_ints}, _check_int_list)
 INT = FieldType({"type": int}, check_int)
 FLAG = FieldType({"action": "store_true"}, _check_bool)
-RATIONAL = FieldType({"type": _rational_arg}, _check_rational)
+RATIONAL = FieldType({}, _check_rational)
 NUMBER = FieldType({"type": float}, to_float)
 
 REQUIRED = object()
@@ -472,14 +463,11 @@ def _malformed(lineno: int, msg: str) -> tuple[dict, int]:
 
 
 def _error(exc: CzorbError) -> tuple[dict, int]:
+    error = {"type": exc.error_type, "message": str(exc)}
     if isinstance(exc, NonCoprimeError):
-        error = {"type": "non-coprime", "gcd": exc.gcd, "message": str(exc)}
+        error["gcd"] = exc.gcd
     elif isinstance(exc, ConvergenceError):
-        error = {"type": "convergence", "message": str(exc), "achieved_error": exc.achieved_error}
-    elif exc.exit_code == 3:
-        error = {"type": "uncovered-case", "message": str(exc)}
-    else:
-        error = {"type": "domain", "message": str(exc)}
+        error["achieved_error"] = exc.achieved_error
     return {"status": "error", "error": error}, exc.exit_code
 
 
@@ -544,9 +532,9 @@ def _batch_text(out: dict, as_json: bool) -> str:
 
 def _run_batch(args) -> int:
     try:
-        # Bytes that are not UTF-8 become lone surrogates, so one bad line is
-        # a malformed record and the lines keep text mode's newline rules.
-        fh = open(args.file, encoding="utf-8", errors="surrogateescape")
+        # A byte that is not UTF-8 becomes a lone surrogate, so a bad line is a
+        # malformed record in text mode; a leading byte-order mark is dropped.
+        fh = open(args.file, encoding="utf-8-sig", errors="surrogateescape")
     except OSError as exc:
         print(f"czorb: cannot read batch file: {exc}", file=sys.stderr)
         return 1
@@ -633,13 +621,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _argv_record(args) -> tuple[Operation, dict]:
-    """The operation that argv selects, and its batch record, or a usage error."""
+    """The operation that argv selects, and its batch record, or a usage error;
+    each value is judged by its batch field rule and kept as a batch line holds it."""
     ops = args.ops
     op = ops[0] if len(ops) == 1 else next(op for op in ops if getattr(args, _dest(op.fields[0])) is not None)
     record = {"kind": op.kind, "check": op.check} if op.check else {"kind": op.kind}
     for field in op.fields:
         value = getattr(args, _dest(field))
         if value is not None:
+            try:
+                field.type.check(field.spelling, value)
+            except DomainError as exc:
+                args.parser.error(str(exc))
             record[field.name] = value
         elif field.default is REQUIRED:
             args.parser.error(f"{op.fields[0].spelling} requires {field.spelling}")

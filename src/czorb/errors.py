@@ -2,8 +2,8 @@
 every entry point checks with (is_int, check_int, as_tuple, check_ints,
 to_float) and the oracles' work budget (DEFAULT_EVAL_BUDGET, check_budget).
 
-Each class maps to one CLI exit code, so library errors translate to
-process status without string matching.
+Each class maps to one CLI exit code and one error-record type (exit_code,
+error_type), so library errors translate to both without string matching.
 """
 
 
@@ -14,16 +14,17 @@ class CzorbError(Exception):
     """Base class for all czorb errors."""
 
     exit_code = 2
+    error_type = "domain"
 
 
 class DomainError(CzorbError, ValueError):
     """Input violates a precondition (non-positive weight, empty list, ...)."""
 
-    exit_code = 2
-
 
 class NonCoprimeError(DomainError):
     """Weight vector entries share a common factor; carries the gcd and the weights."""
+
+    error_type = "non-coprime"
 
     def __init__(self, gcd: int, weights):
         self.gcd = gcd
@@ -39,12 +40,14 @@ class UncoveredCaseError(CzorbError):
     """
 
     exit_code = 3
+    error_type = "uncovered-case"
 
 
 class ConvergenceError(CzorbError):
     """A numeric routine failed to reach the requested resolution."""
 
     exit_code = 4
+    error_type = "convergence"
 
     def __init__(self, message: str, achieved_error: float):
         self.achieved_error = achieved_error

@@ -32,7 +32,7 @@ from fractions import Fraction
 from itertools import repeat
 from operator import truediv
 
-from .errors import DEFAULT_EVAL_BUDGET, ConvergenceError, DomainError, check_int, is_int, to_float
+from .errors import DEFAULT_EVAL_BUDGET, ConvergenceError, DomainError, check_budget, is_int, to_float
 from .record import Record
 from .weights import WeightVector, make_weight_vector, symplectic_area
 
@@ -113,7 +113,7 @@ def chart_integral(w0: int, w1: int, tol: float, eval_budget: int = DEFAULT_EVAL
     the value, 1/w0 in magnitude.
 
     Raises DomainError for a weight too large to convert to float, a `tol`
-    that is not a number and a budget that is not an integer, and
+    that is not a number and a budget that is not an integer of at least 16, and
     ConvergenceError (carrying the achieved error estimate) if the rule's
     levels or the evaluation budget run out first.
     """
@@ -123,8 +123,7 @@ def chart_integral(w0: int, w1: int, tol: float, eval_budget: int = DEFAULT_EVAL
         to_float("chart_integral weight", w)
     if not 0 < to_float("tol", tol) <= 1e-4:
         raise DomainError(f"tol must be in (0, 1e-4], got {tol}")
-    if check_int("evaluation budget", eval_budget) < 16:
-        raise DomainError(f"evaluation budget too small: {eval_budget}")
+    check_budget(16, eval_budget, "chart_integral needs more evaluations")
     # The final value is -2 * (radial integral), with the same relative error.
     radial, err, evals, converged = chart_radial(w0, w1, tol, eval_budget)
     if not converged:

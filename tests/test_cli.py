@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import czorb
 from czorb import cli, cz_paths, numeric_verify
 from czorb.cli import FLAG, INT, INTS, NUMBER, OPERATIONS, RATIONAL, REQUIRED, dumps, main, run
-from czorb.errors import CzorbError, DomainError
+from czorb.errors import ConvergenceError, CzorbError, DomainError, NonCoprimeError, UncoveredCaseError
 
 
 def run_cli(capsys, *argv):
@@ -333,7 +333,9 @@ def test_argv_refuses_a_rational_that_python_versions_read_differently(capsys, t
     code, out, err = run_cli(capsys, "verify", "scalar-cz", "--T", text)
     assert code == 1
     assert out == ""
-    assert f"expected a rational p/q or an integer, got {text!r}" in err
+    assert err.splitlines()[-1] == (
+        f"czorb verify scalar-cz: error: --T must be a rational ('p/q', integer, or num/den), got {text!r}"
+    )
 
 
 def test_batch_refuses_a_rational_that_python_versions_read_differently(capsys, tmp_path):
@@ -377,6 +379,39 @@ def test_argv_usage_errors_go_through_the_command_parser(capsys, argv, last_err)
     assert err.splitlines()[-1] == f"czorb cz principal: error: {last_err}"
 
 
+@pytest.mark.parametrize(
+    "exc, error_type, code, extra",
+    [
+        (DomainError("bad input"), "domain", 2, {}),
+        (NonCoprimeError(2, (2, 4)), "non-coprime", 2, {"gcd": 2}),
+        (UncoveredCaseError("no branch"), "uncovered-case", 3, {}),
+        (ConvergenceError("no convergence", achieved_error=0.5), "convergence", 4, {"achieved_error": 0.5}),
+    ],
+)
+def test_each_error_class_names_its_record_type(exc, error_type, code, extra):
+    out, got_code = cli._error(exc)
+    assert got_code == code
+    assert out == {"status": "error", "error": {"type": error_type, "message": str(exc), **extra}}
+
+
+def test_argv_takes_a_value_that_starts_with_a_dash_after_an_equals_sign(capsys, tmp_path):
+    path = tmp_path / "rates.ndjson"
+    path.write_text(json.dumps({"kind": "verify", "check": "winding", "rates": [-1, 2]}) + "\n")
+    argv_code, argv_out, _ = run_cli(capsys, "verify", "winding", "--rates=-1,2", "--json")
+    batch_code, batch_out, _ = run_cli(capsys, "batch", str(path), "--json")
+    result = json.loads(argv_out)
+    assert (argv_code, batch_code) == (0, 0)
+    assert json.loads(batch_out)["result"] == result
+    assert (result["winding"], result["ok"]) == (1, True)
+
+
+def test_argv_reads_a_value_that_starts_with_a_dash_as_an_option(capsys):
+    # argparse reads only -<digits> and -<digits>.<digits> as negative numbers.
+    code, out, err = run_cli(capsys, "verify", "winding", "--rates", "-1,2")
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1] == "czorb verify winding: error: argument --rates: expected one argument"
+
+
 def _run_child(*argv):
     return subprocess.run(
         [sys.executable, "-m", "czorb.cli", *argv], capture_output=True, text=True, env=_child_env(), timeout=20
@@ -388,7 +423,7 @@ def test_argv_refuses_a_duration_with_a_huge_exponent_before_reading_it():
     out = _run_child("verify", "scalar-cz", "--T", "1e100000000")
     assert (out.returncode, out.stdout) == (1, "")
     assert out.stderr.splitlines()[-1] == (
-        "czorb verify scalar-cz: error: argument --T: expected a rational p/q or an integer, got '1e100000000'"
+        "czorb verify scalar-cz: error: --T has an exponent past 4300 in magnitude, got '1e100000000'"
     )
 
 
@@ -404,6 +439,20 @@ def test_batch_refuses_a_duration_with_a_huge_exponent_before_reading_it(tmp_pat
         {"type": "domain", "message": "batch field 'T' has an exponent past 4300 in magnitude, got '-1e-100000000'"},
     ]
     assert recs[2]["status"] == "ok"
+
+
+@pytest.mark.parametrize("text", ["1/0", "abc", "1_000", "7 / 2", "1e10000000"])
+def test_argv_and_batch_refuse_a_duration_for_the_same_reason(tmp_path, text):
+    # In a child with a timeout: Fraction would take seconds to build 10**10000000.
+    path = tmp_path / "t.ndjson"
+    path.write_text(json.dumps({"kind": "verify", "check": "scalar-cz", "T": text}) + "\n")
+    argv, batch = _run_child("verify", "scalar-cz", "--T", text), _run_child("batch", str(path), "--json")
+    assert (argv.returncode, argv.stdout, batch.returncode) == (1, "", 2)
+    argv_line = argv.stderr.splitlines()[-1]
+    batch_message = json.loads(batch.stdout)["error"]["message"]
+    argv_prefix, batch_prefix = "czorb verify scalar-cz: error: --T ", "batch field 'T' "
+    assert argv_line.startswith(argv_prefix) and batch_message.startswith(batch_prefix)
+    assert argv_line[len(argv_prefix):] == batch_message[len(batch_prefix):]
 
 
 def test_a_duration_at_the_exponent_bound_meets_the_crossing_budget():
@@ -558,6 +607,22 @@ def test_batch_line_that_is_not_utf8_is_malformed(capsys, tmp_path):
         "error": {"type": "malformed", "message": "line 2: not valid UTF-8"},
     }
     assert [recs[0]["id"], recs[2]["id"]] == ["a", "b"]
+
+
+def test_batch_drops_a_byte_order_mark_only_at_the_start_of_the_file(capsys, tmp_path):
+    # RFC 8259 lets a parser ignore a leading BOM; one later in the file, and a
+    # byte that is not UTF-8, stay malformed lines.
+    path = tmp_path / "bom.ndjson"
+    record = b'{"kind":"wps","weights":[1,2]}\n'
+    path.write_bytes(b"\xef\xbb\xbf" + record + b"\xef\xbb\xbf" + record + record.replace(b"wps", b"\xe9"))
+    code, out, _ = run_cli(capsys, "batch", str(path), "--json")
+    assert code == 2
+    recs = [json.loads(line) for line in out.strip().splitlines()]
+    assert recs[0] == {"id": None, "kind": "wps", "status": "ok", "result": run(json.loads(record))}
+    assert [rec["error"] for rec in recs[1:]] == [
+        {"type": "malformed", "message": "line 2: not valid JSON"},
+        {"type": "malformed", "message": "line 3: not valid UTF-8"},
+    ]
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400"])

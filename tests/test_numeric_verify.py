@@ -72,6 +72,14 @@ def test_error_estimate_does_not_underflow_near_the_top_of_the_float_range():
     assert "0.000e+00" not in str(excinfo.value)
 
 
+def test_chart_integral_budget_floor_goes_through_the_shared_budget_rule():
+    with pytest.raises(DomainError, match="^chart_integral needs more evaluations than the evaluation budget 15$"):
+        chart_integral(2, 3, 1e-8, eval_budget=15)
+    # 16 passes the floor, and level 0 alone (15 evaluations) cannot converge.
+    with pytest.raises(ConvergenceError):
+        chart_integral(2, 3, 1e-8, eval_budget=16)
+
+
 def test_chart_integral_budget_exhaustion():
     # Level 0 takes 15 evaluations and level 1 another 16, so a budget of 21
     # leaves level 0 alone, with nothing to compare it with.
