@@ -34,7 +34,7 @@ from operator import truediv
 
 from .errors import DEFAULT_EVAL_BUDGET, ConvergenceError, DomainError, check_budget, is_int, to_float
 from .record import Record
-from .weights import WeightVector, make_weight_vector, symplectic_area
+from .weights import WeightVector, _product, make_weight_vector, symplectic_area
 
 # The window |t| <= asinh(80/pi) keeps ln(s) = (pi/2)*sinh(t) within +-40;
 # beyond it the integrand's s**2 and s**-2 tails are below e**-80.
@@ -150,7 +150,7 @@ def area_chain(full_w: WeightVector | Iterable[int]) -> Fraction:
     g = math.gcd(w0, w1)
     chart_value = Fraction(-1, w0)
     chamber = chart_value / Fraction(w1, g)
-    embedding_degree = Fraction(math.prod(full_w.w) * g, w0 * w1)
+    embedding_degree = Fraction(_product(full_w.w) * g, w0 * w1)
     total = chamber / embedding_degree
     assert total == symplectic_area(full_w)
     return total

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from itertools import repeat
 
 from .errors import DomainError, as_tuple, check_ints
 # Unused here; perfbench's trace points still name czorb.spaces.factorize and ord_p.
@@ -76,7 +75,8 @@ def compute_l2(a: Iterable[int]) -> int:
         raise DomainError("compute_l2 requires a nonempty list")
     l = l2 = 1
     for x in a:
-        l, l2 = math.lcm(l, x), math.lcm(l2, math.gcd(x, l))
+        g = math.gcd(x, l % x)  # gcd(x, l), with l brought below x first
+        l, l2 = l // g * x, math.lcm(l2, g)
     return l2
 
 
@@ -93,11 +93,19 @@ def make_brieskorn_exponents(a: BrieskornExponents | Iterable[int]) -> Brieskorn
 
 
 def _brieskorn_weights(b: BrieskornExponents) -> list[int]:
-    """The weights l/a_j; AssertionError unless every a_j divides l."""
-    weights, remainders = zip(*map(divmod, repeat(b.l), b.a))
-    if any(remainders):
-        raise AssertionError(f"non-integer index: l={b.l} is not a multiple of every exponent of {b.a}")
-    return list(weights)
+    """The weights l/a_j; AssertionError unless l = lcm(a), as
+    make_brieskorn_exponents sets it. Otherwise some a_j does not divide l,
+    or the weights share the factor l/lcm(a) > 1."""
+    weights = [b.l // x for x in b.a]
+    lcm = math.lcm(*b.a)
+    if lcm != b.l:
+        if b.l % lcm:
+            raise AssertionError(f"non-integer index: l={b.l} is not a multiple of every exponent of {b.a}")
+        raise AssertionError(
+            f"converted Brieskorn weights {weights} invalid: they share the factor {b.l // lcm}, "
+            f"so l={b.l} is not the lcm of {b.a}"
+        )
+    return weights
 
 
 def brieskorn_to_wci(b: BrieskornExponents | Iterable[int]) -> WCISpace:
@@ -106,12 +114,7 @@ def brieskorn_to_wci(b: BrieskornExponents | Iterable[int]) -> WCISpace:
     have gcd 1: for each prime p | l some exponent attains the maximal
     valuation, making its weight p-free."""
     b = make_brieskorn_exponents(b)
-    weights = _brieskorn_weights(b)
-    try:
-        wv = make_weight_vector(weights)
-    except DomainError as exc:
-        raise AssertionError(f"converted Brieskorn weights {weights} invalid: {exc}") from exc
-    return make_wci_space(wv, (b.l,))
+    return make_wci_space(make_weight_vector(_brieskorn_weights(b)), (b.l,))
 
 
 def b_constant(space: Space | BrieskornExponents) -> int:

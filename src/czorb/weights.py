@@ -15,6 +15,11 @@ As gcd(w) = 1, the d_j are pairwise coprime (a prime dividing d_i and d_j,
 i != j, would divide every weight), so a_w is their product and e_j = a_w/d_j;
 a WeightVector built by hand with gcd > 1 is outside this contract. For
 length-2 vectors, d_0 = w_1, d_1 = w_0, e_0 = d_1 and e_1 = d_0.
+
+Long vectors take a few C-level passes: the gcd scans stop at the first
+prefix of gcd 1, after which every d_j is 1, and the product splits a long
+vector in halves, as math.prod's left-to-right product costs time quadratic
+in the length.
 """
 
 from __future__ import annotations
@@ -22,7 +27,8 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, takewhile
+from operator import floordiv, mod
 
 from .errors import DomainError, NonCoprimeError, as_tuple, check_ints
 from .record import Record
@@ -75,22 +81,32 @@ def invariants(wv: WeightVector | Iterable[int]) -> WeightInvariants:
     """Compute all derived invariants of a weight vector, given as a
     WeightVector or its entries (see make_weight_vector).
 
-    d comes from one prefix and one suffix gcd scan, and e_j = a_w // d_j,
+    d_j is the gcd of the prefix gcd P_j = gcd(w_0..w_{j-1}) and the suffix
+    gcd gcd(w_{j+1}..). The prefix scan stops at q, its first P_q = 1; every
+    later d_j is 1, so the suffix scan covers only w_1..w_{q-1}, starting
+    from gcd(w_q..), and a_w is the lcm of d_0..d_{q-1}. e_j = a_w // d_j,
     since make_weight_vector's gcd(w) = 1 makes the d_j pairwise coprime.
+    When a_w = 1, e is d and the vector is its own reduction.
     """
-    w = make_weight_vector(wv).w
-    suffix = list(accumulate(reversed(w), math.gcd, initial=0))
-    d = tuple(map(math.gcd, accumulate(w, math.gcd, initial=0), suffix[-2::-1]))
-    a_w = math.lcm(*d)
-    e = tuple(map(a_w.__floordiv__, d))
-    quotients, remainders = zip(*map(divmod, w, e))
-    if any(remainders):  # impossible (lcm(d)/d_j divides w_j): a fault, not a truncation
-        raise AssertionError(f"e={e} does not divide w={w}")
-    reduced = make_weight_vector(quotients)
+    wv = make_weight_vector(wv)
+    w = wv.w
+    prefix = list(takewhile((1).__ne__, accumulate(w, math.gcd, initial=0)))
+    q = len(prefix)
+    suffix = list(accumulate(reversed(w[1:q]), math.gcd, initial=math.gcd(*w[q:])))
+    head = tuple(map(math.gcd, prefix, reversed(suffix)))
+    a_w = math.lcm(*head)
+    d = head + (1,) * (len(w) - q)
+    if a_w == 1:
+        e, reduced = d, wv
+    else:
+        e = tuple(map(a_w.__floordiv__, head)) + (a_w,) * (len(w) - q)
+        if any(map(mod, w, e)):  # impossible (lcm(d)/d_j divides w_j): a fault, not a truncation
+            raise AssertionError(f"e={e} does not divide w={w}")
+        reduced = make_weight_vector(map(floordiv, w, e))
 
     return WeightInvariants(
         sum=sum(w),
-        product=math.prod(w),
+        product=_product(w),
         d=d,
         e=e,
         a_w=a_w,
@@ -99,7 +115,17 @@ def invariants(wv: WeightVector | Iterable[int]) -> WeightInvariants:
     )
 
 
+def _product(w: tuple[int, ...]) -> int:
+    """math.prod(w), with a vector of more than 128 entries split in halves,
+    so that the big factors meet in a few balanced multiplications. Up to
+    that length math.prod alone costs no more."""
+    if len(w) <= 128:
+        return math.prod(w)
+    half = len(w) // 2
+    return _product(w[:half]) * _product(w[half:])
+
+
 def symplectic_area(wv: WeightVector | Iterable[int]) -> Fraction:
     """Pairing of the quotient symplectic class with the generating sphere:
     exactly -1 / (product of weights)."""
-    return Fraction(-1, math.prod(make_weight_vector(wv).w))
+    return Fraction(-1, _product(make_weight_vector(wv).w))

@@ -211,6 +211,16 @@ def test_both_brieskorn_routes_refuse_an_l_that_is_not_a_multiple_of_every_expon
         brieskorn_to_wci(be)
 
 
+def test_both_brieskorn_routes_refuse_an_l_that_is_a_proper_multiple_of_the_lcm():
+    # l = 4 is twice lcm(2, 2, 2, 2), so every weight l/a_j is 2.
+    be = BrieskornExponents((2, 2, 2, 2), 4, 4)
+    message = r"converted Brieskorn weights \[2, 2, 2, 2\] invalid: they share the factor 2, so l=4 is not the lcm"
+    with pytest.raises(AssertionError, match=message):
+        mu_principal_brieskorn(be)
+    with pytest.raises(AssertionError, match=message):
+        mu_orbit_brieskorn(be, [0, 1, 2], True)
+
+
 def test_brieskorn_to_wci_refuses_converted_weights_that_share_a_factor():
     # l = 4 is not lcm(2, 2, 2, 2), so every weight l/a_j is 2.
     with pytest.raises(AssertionError, match=r"converted Brieskorn weights \[2, 2, 2, 2\] invalid"):

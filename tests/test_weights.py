@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from czorb.errors import DomainError, NonCoprimeError
 from czorb.weights import (
+    _product,
     invariants,
     make_weight_vector,
     symplectic_area,
@@ -159,6 +160,8 @@ def assert_invariants_match_the_omit_one_definition(wv):
     d = tuple(math.gcd(*_omit(w, j)) for j in range(len(w)))
     e = tuple(math.lcm(*_omit(d, j)) for j in range(len(d)))
     inv = invariants(wv)
+    assert inv.sum == sum(w)
+    assert inv.product == math.prod(w)
     assert inv.d == d
     assert inv.e == e
     assert inv.a_w == math.lcm(*d)
@@ -172,18 +175,85 @@ def test_invariants_match_the_omit_one_definition(wv):
     assert_invariants_match_the_omit_one_definition(wv)
 
 
-@pytest.mark.parametrize("shared_prime", [None, 7])
-def test_invariants_of_a_long_vector_match_the_omit_one_definition(shared_prime):
-    # Built like the benchmark's long invariants inputs: 500 entries up to
-    # 10**4, and with a prime that divides every entry but one, so that one
-    # d_j is that prime and a_w > 1.
-    rng = random.Random(f"long/{shared_prime}")
-    w = [rng.randint(1, 10**4) for _ in range(500)]
+def _long_vector(seed, shared_prime, j0=None, length=500):
+    """Built like the benchmark's long invariants inputs: entries up to
+    10**4, and with a prime that divides every entry but the one at j0
+    (drawn when not given), so that d_j0 is that prime and a_w > 1."""
+    rng = random.Random(seed)
+    w = [rng.randint(1, 10**4) for _ in range(length)]
     if shared_prime is not None:
-        j0 = rng.randrange(len(w))
+        j0 = rng.randrange(len(w)) if j0 is None else j0
         w = [x if j == j0 else x * shared_prime for j, x in enumerate(w)]
         while w[j0] % shared_prime == 0:
             w[j0] += 1
-    wv = make_weight_vector([x // math.gcd(*w) for x in w])
+    return make_weight_vector([x // math.gcd(*w) for x in w])
+
+
+@pytest.mark.parametrize("shared_prime", [None, 7])
+def test_invariants_of_a_long_vector_match_the_omit_one_definition(shared_prime):
+    wv = _long_vector(f"long/{shared_prime}", shared_prime)
     assert_invariants_match_the_omit_one_definition(wv)
     assert invariants(wv).well_formed is (shared_prime is None)
+
+
+@pytest.mark.parametrize("j0", [0, 1, 498, 499])
+def test_invariants_with_the_odd_entry_at_an_edge_of_the_prefix_scan(j0):
+    # The prefix gcds stay multiples of 5 up to the odd entry j0, so the
+    # prefix scan stops within the first three entries (j0 = 0, 1) or runs
+    # to the last one (j0 = 498, 499).
+    wv = _long_vector(f"edge/{j0}", 5, j0)
+    assert_invariants_match_the_omit_one_definition(wv)
+    assert invariants(wv).d[j0] % 5 == 0
+
+
+def test_invariants_of_a_well_formed_vector_reduce_to_the_vector_itself():
+    wv = make_weight_vector([2, 3, 5, 7])
+    inv = invariants(wv)
+    assert inv.e == inv.d == (1, 1, 1, 1)
+    assert inv.reduced is wv
+
+
+@given(st.lists(st.integers(-(10**6), 10**6), max_size=300))
+@settings(max_examples=200)
+def test_product_is_math_prod(xs):
+    assert _product(tuple(xs)) == math.prod(xs)
+
+
+def test_product_of_a_long_vector_is_math_prod():
+    rng = random.Random("product/3000")
+    w = tuple(rng.randint(1, 10**4) for _ in range(3000))
+    assert _product(w) == math.prod(w)
+
+
+class _Int(int):
+    pass
+
+
+def _long_entries(seed):
+    """2000 entries past check_ints' short-input length; the leading 1 makes
+    their gcd 1."""
+    rng = random.Random(seed)
+    return [1] + [rng.randint(1, 10**4) for _ in range(1999)]
+
+
+@pytest.mark.parametrize("where", [0, 1000, 1999])
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (True, "weights must be integers, got True"),
+        (0, "weights must be positive, got 0"),
+        (_Int(0), "weights must be positive, got 0"),
+    ],
+)
+def test_a_bad_entry_of_a_long_vector_is_named(where, bad, message):
+    w = _long_entries(where)
+    w[where] = bad
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        make_weight_vector(w)
+
+
+@pytest.mark.parametrize("where", [0, 1000, 1999])
+def test_a_long_vector_accepts_an_int_subclass(where):
+    w = _long_entries(where)
+    w[where] = _Int(w[where])
+    assert make_weight_vector(w).w == tuple(w)
