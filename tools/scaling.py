@@ -1,24 +1,22 @@
 """Scaling rows for czorb's long-vector library calls, as one JSON report.
 
-    python3 tools/scaling.py --out BENCH.json [--seed 1] [--pairs PAIRS.json]
+    python3 tools/scaling.py [--out BENCH.json [--pairs PAIRS.json]]
 
-Times `invariants` (on a well-formed vector and on one whose entries but one
+Checks `invariants` (on a well-formed vector and on one whose entries but one
 share the prime 7), `symplectic_area`, `compute_l2` and `mu_orbit_wps` on
-seeded inputs of n = 10, 30, 100, 300, 1000 and 3000 entries, built like the
-library_wide benchmark workload's. Before any timing, every value is checked
-against a definition that shares no code with czorb: `math.prod`, the
-omit-one gcd and lcm definitions of d and e, the prime valuations behind l2,
-and the per-coordinate sum of the stratum reduction. A wrong value stops the
-run with an AssertionError, so the script is also a smoke test.
+seeded inputs of n = 10, 30, 100, 300, 1000 and 3000 entries against
+definitions that share no code with czorb: `math.prod`, the omit-one gcd and
+lcm definitions of d and e, the prime valuations behind l2, and the
+per-coordinate sum of the stratum reduction. A wrong value stops the run
+with an AssertionError. Without `--out` that is all it does, as a smoke test.
 
-Each row is the best of 5 repeats, in microseconds per call, with the call
-count per repeat chosen so that a repeat takes at least 20 ms. The report
-holds the git sha and whether `src/` differs from it, the Python version,
-the CPU count, `src_loc` (the lines of `src/czorb`, counted as
-perfbench/run.py counts them), the rows and, with `--pairs`, a JSON object
-of benchmark medians measured by hand, copied under "pairs". It imports
-czorb from `src/` of the checkout that holds it and uses only the standard
-library.
+With `--out` it then times each call: a row is the best of 5 repeats, in
+microseconds per call, with the call count per repeat chosen so that a
+repeat takes at least 20 ms. The report holds perfbench/run.py's metadata
+(git sha, Python version, CPU count, `src_loc`), the rows and, with
+`--pairs`, a JSON object of benchmark medians measured by hand, copied under
+"pairs". It imports czorb from `src/` of the checkout that holds it and uses
+only the standard library.
 """
 
 from __future__ import annotations
@@ -26,10 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
-import platform
 import random
-import subprocess
 import sys
 import timeit
 from fractions import Fraction
@@ -37,14 +32,22 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
 
 import czorb  # noqa: E402
+import run  # noqa: E402
 
 SIZES = (10, 30, 100, 300, 1000, 3000)
+SEED = 1
 REPEATS = 5
 MIN_REPEAT_S = 0.02
 SHARED_PRIME = 7
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+
+
+# weight_vector, exponents and orbit are fixed-length forms of
+# perfbench/workloads.py's _invariants_op, _brieskorn_op and _orbit_wps_op,
+# whose lengths are drawn (up to 2000 entries, 40 exponents).
 
 
 def weight_vector(rng: random.Random, n: int, shared_prime: int | None) -> list[int]:
@@ -128,8 +131,9 @@ def best_us(call) -> float:
     return min(timer.repeat(REPEATS, number)) / number * 1e6
 
 
-def rows(seed: int) -> list[dict]:
-    rng = random.Random(f"scaling/{seed}")
+def rows(timed: bool) -> list[dict]:
+    """Check every call at every size; with `timed`, also time it."""
+    rng = random.Random(f"scaling/{SEED}")
     out = []
     for n in SIZES:
         plain = weight_vector(rng, n, None)
@@ -141,6 +145,8 @@ def rows(seed: int) -> list[dict]:
         assert czorb.symplectic_area(plain) == Fraction(-1, math.prod(plain)), "symplectic_area"
         check_l2(a)
         check_orbit(w, support)
+        if not timed:
+            continue
         calls = {
             "invariants": lambda: czorb.invariants(plain),
             "invariants_shared_prime": lambda: czorb.invariants(shared),
@@ -154,37 +160,23 @@ def rows(seed: int) -> list[dict]:
     return out
 
 
-def _git(*args: str) -> str | None:
-    try:
-        proc = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=False)
-    except OSError:
-        return None
-    return proc.stdout.strip() if proc.returncode == 0 else None
-
-
-def meta(seed: int) -> dict:
-    status = _git("status", "--porcelain", "--", "src")
-    sources = [p for p in (ROOT / "src" / "czorb").rglob("*") if p.suffix in (".py", ".pyx")]
-    return {
-        "git_sha": _git("rev-parse", "HEAD"),
-        # True when src/ differs from that commit: the rows time the working tree.
-        "src_dirty": None if status is None else bool(status),
-        "python": platform.python_version(),
-        "nproc": os.cpu_count(),
-        "src_loc": sum(len(p.read_text().splitlines()) for p in sources),
-        "seed": seed,
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", type=Path, help="time the calls and write the JSON report here")
+    parser.add_argument("--pairs", type=Path, help="a JSON file of hand-run benchmark medians to copy in")
+    args = parser.parse_args(argv)
+    if args.pairs and not args.out:
+        parser.error("--pairs needs --out")
+    scaling = rows(timed=args.out is not None)
+    if not args.out:
+        print(f"scaling: every value checked at n = {', '.join(map(str, SIZES))}", file=sys.stderr)
+        return
+    meta = run.metadata() | {
+        "seed": SEED,
         "sizes": list(SIZES),
         "timer": f"best of {REPEATS} repeats of at least {MIN_REPEAT_S} s, microseconds per call",
     }
-
-
-def main(argv=None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--out", required=True, type=Path, help="where to write the JSON report")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--pairs", type=Path, help="a JSON file of hand-run benchmark medians to copy in")
-    args = parser.parse_args(argv)
-    report = {"meta": meta(args.seed), "scaling": rows(args.seed)}
+    report = {"meta": meta, "scaling": scaling}
     if args.pairs:
         report["pairs"] = json.loads(args.pairs.read_text())
     args.out.write_text(json.dumps(report, indent=1) + "\n")
