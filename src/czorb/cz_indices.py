@@ -33,7 +33,7 @@ from itertools import compress
 from .cz_paths import scalar_cz, scalar_index  # noqa: F401
 from .errors import DomainError, UncoveredCaseError, check_ints
 from .record import Record
-from .spaces import BrieskornExponents, Space, WCISpace, b_constant, brieskorn_to_wci, make_brieskorn_exponents
+from .spaces import BrieskornExponents, Space, WCISpace, b_constant, brieskorn_to_wci
 from .weights import WeightVector, make_weight_vector
 
 
@@ -97,7 +97,7 @@ def mu_principal(space: Space) -> CZReport:
     return CZReport(index=2 * b, branch=branch, b_constant=b, notes=notes)
 
 
-def _trivial_isotropy(space: WeightVector | BrieskornExponents, branch: Branch, full_support: bool) -> CZReport:
+def _trivial_isotropy(space: WeightVector | WCISpace, branch: Branch, full_support: bool) -> CZReport:
     """A support with isotropy 1 carries the principal orbit: index 2*b."""
     b = b_constant(space)
     notes = () if full_support else ("support has trivial isotropy, so the orbit is principal",)
@@ -107,8 +107,7 @@ def _trivial_isotropy(space: WeightVector | BrieskornExponents, branch: Branch, 
 def mu_principal_brieskorn(be: BrieskornExponents | Iterable[int]) -> CZReport:
     """Principal-orbit index of a Brieskorn orbifold, by its exponents or their
     BrieskornExponents: 2*l*(sum(1/a_j) - 1), twice b_constant = sum(l/a_j) - l."""
-    be = make_brieskorn_exponents(be)
-    return _trivial_isotropy(be, Branch.PRINCIPAL_BRIESKORN, full_support=True)
+    return _trivial_isotropy(brieskorn_to_wci(be), Branch.PRINCIPAL_BRIESKORN, full_support=True)
 
 
 def _reduced_index(
@@ -219,8 +218,8 @@ def mu_orbit_brieskorn(
     case. Since d = l/l_S, with l_S the lcm of the supported exponents, the
     in-stratum term equals 2*l_S*(sum_{j in S} 1/a_j - 1); no lcm is taken.
     """
-    be = make_brieskorn_exponents(be)
-    wv = brieskorn_to_wci(be).weights
+    wci = brieskorn_to_wci(be)
+    wv, (l,) = wci.weights, wci.degrees
     s, d = orbit_spec(wv, support)
 
     if len(s) < 3:
@@ -230,8 +229,8 @@ def mu_orbit_brieskorn(
         )
 
     if d == 1:
-        return _trivial_isotropy(be, Branch.PRINCIPAL_BRIESKORN, len(s) == len(wv))
+        return _trivial_isotropy(wci, Branch.PRINCIPAL_BRIESKORN, len(s) == len(wv))
 
     notes = [f"isotropy order taken as the gcd of the ambient weights over the support ({d})"]
-    index, extrapolated = _reduced_index(wv, s, d, be.l, allow_extrapolation, notes)
+    index, extrapolated = _reduced_index(wv, s, d, l, allow_extrapolation, notes)
     return CZReport(index, Branch.NONPRINCIPAL_BRIESKORN, extrapolated, notes=tuple(notes))

@@ -5,7 +5,9 @@ A Brieskorn orbifold with exponents (a_0, ..., a_n) is treated as a degree-l
 hypersurface in the weighted projective space with weights l/a_j, where
 l = lcm of the exponents. The companion integer l2 takes, for each prime
 p | l, the second-largest p-adic valuation among the exponents (counted with
-multiplicity, so a tied maximum keeps the maximum).
+multiplicity, so a tied maximum keeps the maximum). make_brieskorn_exponents
+checks an orbifold once, where it enters, and its l = lcm(a) makes the weights
+a valid vector of gcd 1, so brieskorn_to_wci does not check them again.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 
-from .errors import DomainError, as_tuple, check_ints
+from .errors import DomainError, as_tuple, check_int, check_ints
 # Unused here; perfbench's trace points still name czorb.spaces.factorize and ord_p.
 from .exact_arith import factorize, ord_p  # noqa: F401
 from .record import Record
@@ -24,7 +26,7 @@ class WCISpace(Record):
     """Quasi-smooth weighted complete intersection of multidegree
     (m_1, ..., m_r); quasi-smoothness is asserted by the caller, not checked.
 
-    Construct through make_wci_space.
+    Construct through make_wci_space or brieskorn_to_wci.
     """
 
     __slots__ = ("weights", "degrees")
@@ -81,52 +83,49 @@ def compute_l2(a: Iterable[int]) -> int:
 
 
 def make_brieskorn_exponents(a: BrieskornExponents | Iterable[int]) -> BrieskornExponents:
-    """Validate a Brieskorn exponent vector (at least 4 entries, all >= 2); a
-    BrieskornExponents is returned as is."""
-    if isinstance(a, BrieskornExponents):
-        return a
-    a = as_tuple("Brieskorn exponents", a)
+    """Validate a Brieskorn exponent vector (at least 4 entries, all >= 2).
+    A BrieskornExponents passes unchanged if its a passes the same rules and
+    its l is the integer lcm(a), else AssertionError; l2 enters no index and
+    is not checked."""
+    record = a if isinstance(a, BrieskornExponents) else None
+    a = as_tuple("Brieskorn exponents", a if record is None else record.a)
     if len(a) < 4:
         raise DomainError(f"a Brieskorn exponent vector needs at least 4 entries, got {len(a)}")
     check_ints("Brieskorn exponents", a, 2)
-    return BrieskornExponents(a, math.lcm(*a), compute_l2(a))
-
-
-def _brieskorn_weights(b: BrieskornExponents) -> list[int]:
-    """The weights l/a_j; AssertionError unless l = lcm(a), as
-    make_brieskorn_exponents sets it. Otherwise some a_j does not divide l,
-    or the weights share the factor l/lcm(a) > 1."""
-    weights = [b.l // x for x in b.a]
-    lcm = math.lcm(*b.a)
-    if lcm != b.l:
-        if b.l % lcm:
-            raise AssertionError(f"non-integer index: l={b.l} is not a multiple of every exponent of {b.a}")
+    lcm = math.lcm(*a)
+    if record is None:
+        return BrieskornExponents(a, lcm, compute_l2(a))
+    l = check_int("Brieskorn l", record.l)
+    if l != lcm:
+        if l % lcm:
+            raise AssertionError(f"non-integer index: l={l} is not a multiple of every exponent of {a}")
         raise AssertionError(
-            f"converted Brieskorn weights {weights} invalid: they share the factor {b.l // lcm}, "
-            f"so l={b.l} is not the lcm of {b.a}"
+            f"converted Brieskorn weights {[l // x for x in a]} invalid: they share the factor {l // lcm}, "
+            f"so l={l} is not the lcm of {a}"
         )
-    return weights
+    return record
 
 
 def brieskorn_to_wci(b: BrieskornExponents | Iterable[int]) -> WCISpace:
     """View the Brieskorn orbifold (see make_brieskorn_exponents) as the
-    degree-l hypersurface with weights l/a_j. The converted weights always
-    have gcd 1: for each prime p | l some exponent attains the maximal
+    degree-l hypersurface with weights l/a_j, unchecked: with l = lcm(a) and
+    n >= 3 each weight is >= 1, codimension 1 is at most n - 2, and the gcd
+    is 1, as for each prime p | l some exponent attains the maximal
     valuation, making its weight p-free."""
     b = make_brieskorn_exponents(b)
-    return make_wci_space(make_weight_vector(_brieskorn_weights(b)), (b.l,))
+    return WCISpace(WeightVector(tuple(map(b.l.__floordiv__, b.a))), (b.l,))
 
 
 def b_constant(space: Space | BrieskornExponents) -> int:
     """The proportionality constant b of c1^orb = b*[omega]: |w| for a
     weighted projective space, given by its WeightVector or the vector's
-    entries, |w| - sum(m_j) for a complete intersection, and sum(l/a_j) - l
-    for a Brieskorn orbifold, the degree-l hypersurface with weights l/a_j.
-    It may be non-positive and is returned as-is."""
+    entries, |w| - sum(m_j) for a complete intersection, and so sum(l/a_j) - l
+    for a Brieskorn orbifold, through brieskorn_to_wci. It may be
+    non-positive and is returned as-is."""
+    if isinstance(space, BrieskornExponents):
+        space = brieskorn_to_wci(space)
     if isinstance(space, WCISpace):
         return sum(space.weights.w) - sum(space.degrees)
-    if isinstance(space, BrieskornExponents):
-        return sum(_brieskorn_weights(space)) - space.l
     return sum(make_weight_vector(space).w)
 
 

@@ -86,7 +86,8 @@ def invariants(wv: WeightVector | Iterable[int]) -> WeightInvariants:
     later d_j is 1, so the suffix scan covers only w_1..w_{q-1}, starting
     from gcd(w_q..), and a_w is the lcm of d_0..d_{q-1}. e_j = a_w // d_j,
     since make_weight_vector's gcd(w) = 1 makes the d_j pairwise coprime.
-    When a_w = 1, e is d and the vector is its own reduction.
+    When a_w = 1, e is d and the vector is its own reduction; otherwise each
+    w_j/e_j divides w_j, so w/e has gcd 1 and is built unchecked.
     """
     wv = make_weight_vector(wv)
     w = wv.w
@@ -102,7 +103,7 @@ def invariants(wv: WeightVector | Iterable[int]) -> WeightInvariants:
         e = tuple(map(a_w.__floordiv__, head)) + (a_w,) * (len(w) - q)
         if any(map(mod, w, e)):  # impossible (lcm(d)/d_j divides w_j): a fault, not a truncation
             raise AssertionError(f"e={e} does not divide w={w}")
-        reduced = make_weight_vector(map(floordiv, w, e))
+        reduced = WeightVector(tuple(map(floordiv, w, e)))
 
     return WeightInvariants(
         sum=sum(w),

@@ -13,6 +13,7 @@ from czorb.cz_indices import mu_orbit_brieskorn, mu_principal_brieskorn
 from czorb.errors import DomainError
 from czorb.spaces import (
     BrieskornExponents,
+    b_constant,
     brieskorn_to_wci,
     check_theorem_hypotheses,
     compute_l2,
@@ -188,16 +189,50 @@ def random_exponents(rng: random.Random) -> list[int]:
 
 
 def test_converted_weights_properties_random():
+    # brieskorn_to_wci does not check the weights it builds; this is the
+    # property it relies on, on small exponents and on library-sized ones:
+    # 4 to 40 exponents, each a product of two primes up to 5000.
     rng = random.Random(20817)
-    for _ in range(2000):
-        a = random_exponents(rng)
+    primes = [p for p in range(2, 5001) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+    small = [random_exponents(rng) for _ in range(2000)]
+    wide = [[rng.choice(primes) * rng.choice(primes) for _ in range(rng.randint(4, 40))] for _ in range(200)]
+    for a in small + wide:
         be = make_brieskorn_exponents(a)
         wci = brieskorn_to_wci(be)
         assert math.gcd(*wci.weights.w) == 1
+        assert b_constant(be) == sum(be.l // x for x in be.a) - be.l
         assert be.l % be.l2 == 0
         inv = invariants(wci.weights)
         assert inv.a_w == be.l // be.l2
         assert inv.well_formed == (be.l == be.l2)
+
+
+BRIESKORN_ROUTES = {
+    "mu_principal_brieskorn": mu_principal_brieskorn,
+    "mu_orbit_brieskorn": lambda be: mu_orbit_brieskorn(be, [0, 1, 2], True),
+    "brieskorn_to_wci": brieskorn_to_wci,
+    "b_constant": b_constant,
+}
+
+
+@pytest.mark.parametrize("route", BRIESKORN_ROUTES)
+@pytest.mark.parametrize(
+    "be, message",
+    [
+        (BrieskornExponents((-2, 3, 5, 7), 210, 1), "Brieskorn exponents must be >= 2, got -2"),
+        (BrieskornExponents((2, 3, 5), 30, 1), "a Brieskorn exponent vector needs at least 4 entries, got 3"),
+        (BrieskornExponents((1, 2, 3, 5), 30, 1), "Brieskorn exponents must be >= 2, got 1"),
+        (BrieskornExponents((2, 3, 5, 7), 210.0, 1), "Brieskorn l must be an integer, got 210.0"),
+        (BrieskornExponents((2, 3, 5, "7"), 210, 1), "Brieskorn exponents must be integers, got '7'"),
+        (BrieskornExponents((2, 3, 5, 7), "210", 1), "Brieskorn l must be an integer, got '210'"),
+        (BrieskornExponents(5, 5, 5), "Brieskorn exponents must be a list of integers, not int"),
+    ],
+    ids=["negative", "three-exponents", "exponent-1", "float-l", "str-exponent", "str-l", "int-a"],
+)
+def test_every_brieskorn_route_refuses_a_bad_hand_built_record_alike(route, be, message):
+    with pytest.raises(DomainError) as refusal:
+        BRIESKORN_ROUTES[route](be)
+    assert str(refusal.value) == message
 
 
 def test_both_brieskorn_routes_refuse_an_l_that_is_not_a_multiple_of_every_exponent():
@@ -209,6 +244,8 @@ def test_both_brieskorn_routes_refuse_an_l_that_is_not_a_multiple_of_every_expon
         mu_orbit_brieskorn(be, [0, 2, 3], True)
     with pytest.raises(AssertionError, match=message):
         brieskorn_to_wci(be)
+    with pytest.raises(AssertionError, match=message):
+        b_constant(be)
 
 
 def test_both_brieskorn_routes_refuse_an_l_that_is_a_proper_multiple_of_the_lcm():
@@ -219,6 +256,8 @@ def test_both_brieskorn_routes_refuse_an_l_that_is_a_proper_multiple_of_the_lcm(
         mu_principal_brieskorn(be)
     with pytest.raises(AssertionError, match=message):
         mu_orbit_brieskorn(be, [0, 1, 2], True)
+    with pytest.raises(AssertionError, match=message):
+        b_constant(be)
 
 
 def test_brieskorn_to_wci_refuses_converted_weights_that_share_a_factor():

@@ -3,11 +3,13 @@
     python3 tools/scaling.py [--out BENCH.json [--pairs PAIRS.json]]
 
 Checks `invariants` (on a well-formed vector and on one whose entries but one
-share the prime 7), `symplectic_area`, `compute_l2` and `mu_orbit_wps` on
-seeded inputs of n = 10, 30, 100, 300, 1000 and 3000 entries against
-definitions that share no code with czorb: `math.prod`, the omit-one gcd and
-lcm definitions of d and e, the prime valuations behind l2, and the
-per-coordinate sum of the stratum reduction. A wrong value stops the run
+share the prime 7), `symplectic_area`, `compute_l2`, `mu_orbit_wps`,
+`mu_principal_brieskorn` and `mu_orbit_brieskorn` on seeded inputs of n = 10,
+30, 100, 300, 1000 and 3000 entries against definitions that share no code
+with czorb: `math.prod`, the omit-one gcd and lcm definitions of d and e, the
+prime valuations behind l2, b = sum(l/a_j) - l with l = lcm(a), and the
+per-coordinate sum of the stratum reduction (of degree 0 for a weighted
+projective space, l for a Brieskorn orbifold). A wrong value stops the run
 with an AssertionError. Without `--out` that is all it does, as a smoke test.
 
 With `--out` it then times each call: a row is the best of 5 repeats, in
@@ -122,6 +124,31 @@ def check_orbit(w: list[int], support: list[int]) -> None:
     assert czorb.mu_orbit_wps(w, support).index == index, "mu_orbit_wps"
 
 
+def brieskorn_support(a: list[int]) -> list[int]:
+    """The coordinates whose exponents are prime to the least prime factor p
+    of a[0]: their lcm misses p, so the isotropy l/lcm(a_S) is a multiple of
+    p, and the orbit takes the stratum reduction."""
+    p = next(p for p in SMALL_PRIMES if a[0] % p == 0)
+    support = [j for j, x in enumerate(a) if x % p]
+    assert len(support) >= 3, "a Brieskorn support needs 3 coordinates"
+    return support
+
+
+def check_brieskorn(a: list[int], support: list[int]) -> None:
+    """mu_principal_brieskorn against 2*b, b = sum(l/a_j) - l, and
+    mu_orbit_brieskorn against 2*(sum_S w_j - l)/d + the scalar index of each
+    transverse w_k/d, over w_j = l/a_j with l = lcm(a), even ratios included."""
+    l = math.lcm(*a)
+    w = [l // x for x in a]
+    assert czorb.mu_principal_brieskorn(a).index == 2 * (sum(w) - l), "mu_principal_brieskorn"
+    d = math.gcd(*(w[j] for j in support))
+    chosen = set(support)
+    outside = [x for j, x in enumerate(w) if j not in chosen]
+    index = 2 * (sum(w[j] for j in support) - l) // d
+    index += sum(2 * (x // (2 * d)) + (x % (2 * d) != 0) for x in outside)
+    assert czorb.mu_orbit_brieskorn(a, support, True).index == index, "mu_orbit_brieskorn"
+
+
 def best_us(call) -> float:
     """Best of REPEATS, in microseconds per call."""
     timer = timeit.Timer(call)
@@ -140,11 +167,13 @@ def rows(timed: bool) -> list[dict]:
         shared = weight_vector(rng, n, SHARED_PRIME)
         a = exponents(rng, n)
         w, support = orbit(rng, n)
+        b_support = brieskorn_support(a)
         check_invariants(plain)
         check_invariants(shared)
         assert czorb.symplectic_area(plain) == Fraction(-1, math.prod(plain)), "symplectic_area"
         check_l2(a)
         check_orbit(w, support)
+        check_brieskorn(a, b_support)
         if not timed:
             continue
         calls = {
@@ -153,6 +182,8 @@ def rows(timed: bool) -> list[dict]:
             "symplectic_area": lambda: czorb.symplectic_area(plain),
             "compute_l2": lambda: czorb.compute_l2(a),
             "mu_orbit_wps": lambda: czorb.mu_orbit_wps(w, support),
+            "mu_principal_brieskorn": lambda: czorb.mu_principal_brieskorn(a),
+            "mu_orbit_brieskorn": lambda: czorb.mu_orbit_brieskorn(a, b_support, True),
         }
         for op, call in calls.items():
             out.append({"op": op, "n": n, "us_per_call": round(best_us(call), 2)})
