@@ -75,9 +75,13 @@ EXIT_INTERNAL = 6
 # ---------------------------------------------------------------------------
 # serialization helpers
 
+# Each object encoded is a tree (decoded JSON or a fresh payload): no cycle check.
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
+
+
 def dumps(obj) -> str:
     """Canonical JSON: sorted keys, compact separators."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _ENCODE(obj)
 
 
 def _rational_json(x: Fraction) -> dict:
@@ -254,13 +258,16 @@ def compute_teardrop(m: int, degree: int | None) -> dict:
 
 def compute_verify_lemma42(w0: int, w1: int, tol: float) -> dict:
     result = chart_integral(w0, w1, tol, _eval_budget())
-    expected = Fraction(-1, w0)
+    # |value + 1/w0| <= tol/w0 exactly: value = p/q and tol = s/t, multiplied
+    # through by q*t*w0 > 0 (chart_integral refuses w0 < 1).
+    p, q = result.value.as_integer_ratio()
+    s, t = tol.as_integer_ratio()
     return {
         "check": "lemma42",
         "error_estimate": result.estimated_error,
         "evaluations": result.evaluations,
-        "expected": _rational_json(expected),
-        "ok": abs(Fraction(result.value) - expected) <= Fraction(tol) / w0,
+        "expected": {"num": -1, "den": w0},
+        "ok": abs(p * w0 + q) * t <= s * q,
         "tol": tol,
         "value": result.value,
         "w0": w0,
@@ -498,7 +505,10 @@ def _run_line(lineno: int, line: str) -> tuple[dict, int]:
     """The output record of one batch line, and its exit code."""
     try:
         line.encode("utf-8")  # a byte the file's decoding escaped fails here
-        rec = _DECODER.decode(line)
+        # The line is stripped, so only data after the value can be left.
+        rec, end = _DECODER.raw_decode(line)
+        if end != len(line):
+            raise json.JSONDecodeError("Extra data", line, end)
     except (ValueError, RecursionError) as exc:
         # Python's own wording of these errors differs between versions, so
         # the message is czorb's. json raises the int-string digit limit as a

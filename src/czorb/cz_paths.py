@@ -47,13 +47,14 @@ from .record import Record
 RationalLike = Fraction | int
 
 
-def _positive_duration(T: RationalLike, op: str) -> Fraction:
+def _positive_duration(T: RationalLike, op: str) -> tuple[int, int]:
+    """(numerator, denominator) of T, a positive integer or Fraction."""
     if not (is_int(T) or isinstance(T, Fraction)):
         raise DomainError(f"{op} requires a duration that is an integer or a Fraction, got {T!r}")
-    T = Fraction(T)
-    if T <= 0:
-        raise DomainError(f"{op} requires a positive duration, got {T}")
-    return T
+    num, den = T.numerator, T.denominator
+    if num <= 0:
+        raise DomainError(f"{op} requires a positive duration, got {Fraction(num, den)}")
+    return num, den
 
 
 def scalar_index(num: int, den: int) -> int:
@@ -69,8 +70,7 @@ def scalar_index(num: int, den: int) -> int:
 
 def scalar_cz(T: RationalLike) -> int:
     """Index of the unit-rate scalar path on [0, T]."""
-    T = _positive_duration(T, "scalar_cz")
-    return scalar_index(T.numerator, T.denominator)
+    return scalar_index(*_positive_duration(T, "scalar_cz"))
 
 
 def crossing_oracle_scalar(T: RationalLike, eval_budget: int = DEFAULT_EVAL_BUDGET) -> int:
@@ -84,8 +84,7 @@ def crossing_oracle_scalar(T: RationalLike, eval_budget: int = DEFAULT_EVAL_BUDG
     `eval_budget` crossings raise DomainError before the first is visited;
     the count num // (2*den) + 1 only gates the call.
     """
-    T = _positive_duration(T, "crossing_oracle_scalar")
-    num, den = T.numerator, T.denominator
+    num, den = _positive_duration(T, "crossing_oracle_scalar")
     step = 2 * den
     # The count may have too many digits to print, so the refusal omits it.
     check_budget(num // step + 1, eval_budget, "crossing_oracle_scalar needs more crossings")

@@ -96,6 +96,8 @@ def make_brieskorn_exponents(a: BrieskornExponents | Iterable[int]) -> Brieskorn
     if record is None:
         return BrieskornExponents(a, lcm, compute_l2(a))
     l = check_int("Brieskorn l", record.l)
+    if l <= 0:
+        raise DomainError(f"Brieskorn l must be positive, got {l}")
     if l != lcm:
         if l % lcm:
             raise AssertionError(f"non-integer index: l={l} is not a multiple of every exponent of {a}")

@@ -958,3 +958,105 @@ def test_argv_batch_and_run_agree(capsys, tmp_path, op, data):
     else:
         assert argv_code == batch_code == 0
         assert argv_out.strip() == dumps(batch["result"]) == dumps(result)
+
+
+# ---------------------------------------------------------------------------
+# the lemma42 verdict in integers, and JSON in and out of a batch
+
+
+def check_lemma42_verdict(w0, tol, value):
+    """compute_verify_lemma42's verdict on a quadrature that returns `value`,
+    checked against the rule in Fractions."""
+    quadrature = numeric_verify.QuadratureResult(value=value, estimated_error=0.0, evaluations=16)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(cli, "chart_integral", lambda *args: quadrature)
+        payload = cli.compute_verify_lemma42(w0, 3, tol)
+    assert payload["ok"] is (abs(Fraction(value) - Fraction(-1, w0)) <= Fraction(tol) / w0)
+    assert payload["expected"] == cli._rational_json(Fraction(-1, w0))
+    return payload["ok"]
+
+
+@given(
+    w0=st.one_of(st.integers(1, 1000), st.integers(1, 10**308)),
+    tol=st.floats(min_value=0.0, max_value=1e-4, exclude_min=True),
+    offset=st.floats(min_value=-3.0, max_value=3.0),
+)
+@settings(max_examples=300, deadline=None)
+def test_lemma42_verdict_in_integers_is_the_fraction_rule(w0, tol, offset):
+    # Values spread over the band [-1/w0 - tol/w0, -1/w0 + tol/w0] and past it.
+    check_lemma42_verdict(w0, tol, -(1 + offset * tol) / w0)
+
+
+@given(k=st.integers(0, 1000), j=st.integers(14, 52), sign=st.sampled_from([-1, 1]))
+@settings(max_examples=200, deadline=None)
+def test_lemma42_verdict_at_the_exact_band_edges(k, j, sign):
+    # w0 = 2**k and tol = 2**-j make v = -(1 ± tol)/w0 an exact float on the
+    # edge of the band; its neighbours lie one ulp inside and outside.
+    w0, tol = 2**k, 2.0**-j
+    edge = -(1 + sign * tol) / w0
+    assert Fraction(edge) == -(1 + sign * Fraction(tol)) / w0
+    assert check_lemma42_verdict(w0, tol, edge) is True
+    inside, outside = math.nextafter(edge, -1 / w0), math.nextafter(edge, sign * -math.inf)
+    assert check_lemma42_verdict(w0, tol, inside) is True
+    assert check_lemma42_verdict(w0, tol, outside) is False
+
+
+@pytest.mark.parametrize("line", ['{"kind":"wps","weights":[1,2]} x', "{}{}", "[1] 2", '{"id":1}\t{}'])
+def test_batch_line_with_data_after_its_value_is_malformed(capsys, tmp_path, line):
+    path = tmp_path / "extra.ndjson"
+    path.write_text(line + "\n")
+    code, out, _ = run_cli(capsys, "batch", str(path), "--json")
+    assert code == 2
+    error = {"type": "malformed", "message": "line 1: not valid JSON"}
+    assert out == dumps({"id": None, "kind": None, "status": "error", "error": error}) + "\n"
+
+
+def test_batch_reads_every_reference_line_as_json_decode_does(monkeypatch):
+    decoder = json.JSONDecoder(parse_float=cli._finite_float, parse_constant=cli._refuse_constant)
+    records = []
+    monkeypatch.setattr(cli, "run", lambda record: records.append(record) or {})
+    path = os.path.join(os.path.dirname(__file__), "data", "reference.ndjson")
+    with open(path, encoding="utf-8") as fh:
+        lines = [line.strip() for line in fh if line.strip()]
+    for lineno, line in enumerate(lines, 1):
+        records.clear()
+        out, _ = cli._run_line(lineno, line)
+        try:
+            expected = decoder.decode(line)
+        except (ValueError, RecursionError):
+            assert out["error"]["type"] == "malformed" and records == []
+            continue
+        assert repr(records) == repr([expected] if isinstance(expected, dict) else [])
+
+
+_JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    max_leaves=30,
+)
+
+
+@given(tree=_JSON_TREES)
+@settings(max_examples=300, deadline=None)
+def test_dumps_is_json_dumps_with_sorted_keys_and_compact_separators(tree):
+    assert dumps(tree) == json.dumps(tree, sort_keys=True, separators=(",", ":"))
+
+
+def deep_list(depth):
+    tree = []
+    for _ in range(depth):
+        tree = [tree]
+    return tree
+
+
+@pytest.mark.parametrize(
+    "tree, error",
+    [(10**5000, ValueError), ({"a": [1, 10**5000]}, ValueError), (deep_list(100_000), RecursionError)],
+    ids=["long-int", "nested-long-int", "too-deep"],
+)
+def test_dumps_raises_what_json_dumps_raises(tree, error):
+    # _run_batch catches these two errors from an output line.
+    with pytest.raises(error):
+        json.dumps(tree, sort_keys=True, separators=(",", ":"))
+    with pytest.raises(error):
+        dumps(tree)

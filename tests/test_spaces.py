@@ -226,8 +226,12 @@ BRIESKORN_ROUTES = {
         (BrieskornExponents((2, 3, 5, "7"), 210, 1), "Brieskorn exponents must be integers, got '7'"),
         (BrieskornExponents((2, 3, 5, 7), "210", 1), "Brieskorn l must be an integer, got '210'"),
         (BrieskornExponents(5, 5, 5), "Brieskorn exponents must be a list of integers, not int"),
+        (BrieskornExponents((2, 3, 5, 7), -210, 1), "Brieskorn l must be positive, got -210"),
+        (BrieskornExponents((2, 3, 5, 7), 0, 1), "Brieskorn l must be positive, got 0"),
     ],
-    ids=["negative", "three-exponents", "exponent-1", "float-l", "str-exponent", "str-l", "int-a"],
+    ids=[
+        "negative", "three-exponents", "exponent-1", "float-l", "str-exponent", "str-l", "int-a", "negative-l", "zero-l"
+    ],
 )
 def test_every_brieskorn_route_refuses_a_bad_hand_built_record_alike(route, be, message):
     with pytest.raises(DomainError) as refusal:

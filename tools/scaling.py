@@ -16,8 +16,8 @@ With `--out` it then times each call: a row is the best of 5 repeats, in
 microseconds per call, with the call count per repeat chosen so that a
 repeat takes at least 20 ms. The report holds perfbench/run.py's metadata
 (git sha, Python version, CPU count, `src_loc`), the rows and, with
-`--pairs`, a JSON object of benchmark medians measured by hand, copied under
-"pairs". It imports czorb from `src/` of the checkout that holds it and uses
+`--pairs`, the JSON report of `tools/pairs.py --out`, copied under "pairs".
+It imports czorb from `src/` of the checkout that holds it and uses
 only the standard library.
 """
 
@@ -194,7 +194,7 @@ def rows(timed: bool) -> list[dict]:
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", type=Path, help="time the calls and write the JSON report here")
-    parser.add_argument("--pairs", type=Path, help="a JSON file of hand-run benchmark medians to copy in")
+    parser.add_argument("--pairs", type=Path, help="a tools/pairs.py --out report to copy in")
     args = parser.parse_args(argv)
     if args.pairs and not args.out:
         parser.error("--pairs needs --out")
