@@ -8,8 +8,8 @@ cz_paths.scalar_index, the closed form of the scalar path. A non-principal
 orbit supported on a coordinate set S, with isotropy order d = gcd of the
 supported weights, reduces to the principal orbit over its stratum P(w_S/d),
 of degree degree/d (degree 0 for a weighted projective space, l for a
-Brieskorn orbifold), plus one scalar path of duration w_k/d per transverse
-coordinate k:
+Brieskorn orbifold, whose terms come from its exponents), plus one scalar
+path of duration w_k/d per transverse coordinate k:
 
     2*(sum_{j in S} w_j/d - degree/d)  +  sum_{k not in S} scalar_index(w_k, d),
 
@@ -33,7 +33,7 @@ from itertools import compress
 from .cz_paths import scalar_cz, scalar_index  # noqa: F401
 from .errors import DomainError, UncoveredCaseError, check_ints
 from .record import Record
-from .spaces import BrieskornExponents, Space, WCISpace, b_constant, brieskorn_to_wci
+from .spaces import BrieskornExponents, Space, WCISpace, b_constant, brieskorn_to_wci, make_brieskorn_exponents
 from .weights import WeightVector, make_weight_vector
 
 
@@ -72,14 +72,20 @@ def orbit_spec(wv: WeightVector | Iterable[int], support: Iterable[int]) -> tupl
     """Validate an orbit support set against a weight vector or its entries,
     and return the orbit's stratum as (support, isotropy): the set of nonzero
     coordinates and the gcd of the supported weights."""
+    w = make_weight_vector(wv).w
+    s = _support(support, len(w))
+    return s, math.gcd(*map(w.__getitem__, s))
+
+
+def _support(support: Iterable[int], n: int) -> frozenset[int]:
+    """The support as a set of coordinates, each in range 0..n-1."""
     s = frozenset(check_ints("support", support))
     if not s:
         raise DomainError("orbit support must be nonempty")
-    w = make_weight_vector(wv).w
-    if min(s) < 0 or max(s) >= len(w):
-        bad = next(j for j in s if not 0 <= j < len(w))
-        raise DomainError(f"support index {bad!r} out of range 0..{len(w) - 1}")
-    return s, math.gcd(*map(w.__getitem__, s))
+    if min(s) < 0 or max(s) >= n:
+        bad = next(j for j in s if not 0 <= j < n)
+        raise DomainError(f"support index {bad!r} out of range 0..{n - 1}")
+    return s
 
 
 def mu_principal(space: Space) -> CZReport:
@@ -110,37 +116,39 @@ def mu_principal_brieskorn(be: BrieskornExponents | Iterable[int]) -> CZReport:
     return _trivial_isotropy(brieskorn_to_wci(be), Branch.PRINCIPAL_BRIESKORN, full_support=True)
 
 
-def _reduced_index(
-    wv: WeightVector, s: frozenset[int], d: int, degree: int, allow_extrapolation: bool, notes: list
-) -> tuple[int, bool]:
-    """Index of the orbit on the support s with isotropy d > 1, and whether
-    any term was extrapolated: the stratum P(w_S/d), of degree degree/d, adds
-    2*(sum_{j in S} w_j/d - degree/d), and each coordinate k outside s adds
-    scalar_index(w_k, d), the scalar index of duration w_k/d. With
-    r_k = w_k mod 2*d those terms add up to (sum_k w_k - sum_k r_k)/d plus
-    the count of r_k != 0, and d divides every supported weight and the
-    degree, so the whole sum is one exact division.
-
-    The even-integer duration is a closed transverse loop, which no covered
-    case adjudicates; it is refused unless extrapolation was requested. Only
-    when some transverse w_k is a multiple of 2*d are the coordinates walked
-    in ascending k, so that the refusal names the lowest such k and the notes
-    come in order.
-    """
+def _reduced_index(wv: WeightVector, s: frozenset[int], d: int, allow: bool, notes: list) -> tuple[int, bool]:
+    """Index of the orbit on the support s with isotropy d > 1, and whether a
+    term was extrapolated (see _even_ratios): 2*sum_{j in S} w_j/d for the
+    stratum P(w_S/d), plus the scalar index of duration w_k/d for each k off s.
+    With r_k = w_k mod 2*d that is (2*sum_S w_j + sum_k (w_k - r_k))/d plus
+    the count of r_k != 0, one exact division as d divides each w_j, j in S."""
     w = wv.w
-    outside = [True] * len(w)
-    for j in s:
-        outside[j] = False
+    outside = _outside(s, len(w))
     transverse = list(compress(w, outside))
     period = 2 * d
     r = [wk % period for wk in transverse]
-    total = (2 * (sum(w) - degree) - sum(transverse) - sum(r)) // d + len(r) - r.count(0)
+    total = (2 * sum(w) - sum(transverse) - sum(r)) // d + len(r) - r.count(0)
     if 0 not in r:
         return total, False
-    for k, wk in enumerate(w):
-        if wk % period or k in s:
-            continue
-        if not allow_extrapolation:
+    return total, _even_ratios(compress(range(len(w)), outside), r, w.__getitem__, d, allow, notes)
+
+
+def _outside(s: frozenset[int], n: int) -> list[bool]:
+    """The mask of the n coordinates that is True off the support s."""
+    outside = [True] * n
+    for j in s:
+        outside[j] = False
+    return outside
+
+
+def _even_ratios(ks: Iterable[int], r: list[int], weight, d: int, allow: bool, notes: list) -> bool:
+    """Refuse, or note, each transverse coordinate k of ks (ascending) whose
+    remainder r_k is 0: w_k/d, with w_k = weight(k), is then an even integer,
+    a closed loop that no covered case adjudicates. It is refused at the
+    lowest such k unless allow; else each is noted, and True is returned."""
+    for k in (k for k, rk in zip(ks, r) if not rk):
+        wk = weight(k)
+        if not allow:
             raise UncoveredCaseError(
                 f"transverse coordinate {k} (weight {wk} over isotropy {d}) gives the even "
                 f"integer {wk // d}; this closed-loop case is uncovered (pass "
@@ -150,7 +158,7 @@ def _reduced_index(
             f"transverse coordinate {k} has ratio {wk // d}, an even integer; indexed with "
             "the even scalar branch beyond the covered cases"
         )
-    return total, True
+    return True
 
 
 def mu_orbit_wps(
@@ -198,7 +206,7 @@ def mu_orbit_wps(
         )
         extrapolated = True
 
-    index, extra = _reduced_index(wv, s, d, 0, allow_extrapolation, notes)
+    index, extra = _reduced_index(wv, s, d, allow_extrapolation, notes)
     return CZReport(index, Branch.NONPRINCIPAL_WPS, extrapolated or extra, notes=tuple(notes))
 
 
@@ -211,16 +219,15 @@ def mu_orbit_brieskorn(
     BrieskornExponents or their entries, supported on the given coordinates.
 
     The restricted form must keep at least 3 variables so that the reduced
-    principal formula applies to the stratum. Over the weights w_j = l/a_j
-    and isotropy d, the stratum is the degree-l/d hypersurface in P(w_S/d),
-    whose principal index 2*(sum_{j in S} w_j/d - l/d) is the in-stratum
-    term; transverse coordinates contribute scalar terms as in the projective
-    case. Since d = l/l_S, with l_S the lcm of the supported exponents, the
-    in-stratum term equals 2*l_S*(sum_{j in S} 1/a_j - 1); no lcm is taken.
+    principal formula applies to the stratum. Over the weights w_j = l/a_j,
+    the isotropy d = gcd(w_S) is l/l_S, with l_S = lcm(a_S); the stratum's
+    principal index 2*(sum_{j in S} w_j/d - l/d) is 2*(sum_{j in S} l_S/a_j - l_S),
+    and a transverse k adds the scalar index of duration w_k/d = l_S/a_k, as
+    in the projective case. A weight l/a_k is formed only to name an even ratio.
     """
-    wci = brieskorn_to_wci(be)
-    wv, (l,) = wci.weights, wci.degrees
-    s, d = orbit_spec(wv, support)
+    be = make_brieskorn_exponents(be)
+    a, l = be.a, be.l
+    s = _support(support, len(a))
 
     if len(s) < 3:
         raise UncoveredCaseError(
@@ -228,9 +235,17 @@ def mu_orbit_brieskorn(
             "3 variables for the reduced principal formula"
         )
 
+    l_s = math.lcm(*map(a.__getitem__, s))
+    d = l // l_s
     if d == 1:
-        return _trivial_isotropy(wci, Branch.PRINCIPAL_BRIESKORN, len(s) == len(wv))
+        return _trivial_isotropy(brieskorn_to_wci(be), Branch.PRINCIPAL_BRIESKORN, len(s) == len(a))
 
     notes = [f"isotropy order taken as the gcd of the ambient weights over the support ({d})"]
-    index, extrapolated = _reduced_index(wv, s, d, l, allow_extrapolation, notes)
-    return CZReport(index, Branch.NONPRINCIPAL_BRIESKORN, extrapolated, notes=tuple(notes))
+    outside = _outside(s, len(a))
+    periods = [2 * ak for ak in compress(a, outside)]
+    r = list(map(l_s.__mod__, periods))
+    index = 2 * (sum(map(l_s.__floordiv__, map(a.__getitem__, s))) - l_s)
+    index += 2 * sum(map(l_s.__floordiv__, periods)) + len(r) - r.count(0)
+    ks = compress(range(len(a)), outside)
+    even = 0 in r and _even_ratios(ks, r, lambda k: l // a[k], d, allow_extrapolation, notes)
+    return CZReport(index, Branch.NONPRINCIPAL_BRIESKORN, even, notes=tuple(notes))

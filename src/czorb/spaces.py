@@ -75,11 +75,16 @@ def compute_l2(a: Iterable[int]) -> int:
     a = check_ints("compute_l2 entries", a, 2)
     if not a:
         raise DomainError("compute_l2 requires a nonempty list")
+    return _lcm_l2(a)[1]
+
+
+def _lcm_l2(a: tuple[int, ...]) -> tuple[int, int]:
+    """(lcm(a), l2) of checked entries, in compute_l2's one scan."""
     l = l2 = 1
     for x in a:
         g = math.gcd(x, l % x)  # gcd(x, l), with l brought below x first
         l, l2 = l // g * x, math.lcm(l2, g)
-    return l2
+    return l, l2
 
 
 def make_brieskorn_exponents(a: BrieskornExponents | Iterable[int]) -> BrieskornExponents:
@@ -92,9 +97,9 @@ def make_brieskorn_exponents(a: BrieskornExponents | Iterable[int]) -> Brieskorn
     if len(a) < 4:
         raise DomainError(f"a Brieskorn exponent vector needs at least 4 entries, got {len(a)}")
     check_ints("Brieskorn exponents", a, 2)
-    lcm = math.lcm(*a)
     if record is None:
-        return BrieskornExponents(a, lcm, compute_l2(a))
+        return BrieskornExponents(a, *_lcm_l2(a))
+    lcm = math.lcm(*a)
     l = check_int("Brieskorn l", record.l)
     if l <= 0:
         raise DomainError(f"Brieskorn l must be positive, got {l}")

@@ -3,9 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from czorb.cz_indices import (
     Branch,
+    CZReport,
     b_constant,
     mu_orbit_brieskorn,
     mu_orbit_wps,
@@ -249,6 +252,66 @@ def test_mu_orbit_brieskorn_even_transverse_guard():
     # reduced 2*4*(3/4 - 1) = -2, transverse 6/3 -> 2 (even branch), 2/3 -> 1
     assert report.index == 1
     assert report.extrapolated is True
+
+
+def orbit_brieskorn_by_weights(a, support, allow):
+    """mu_orbit_brieskorn's report through the converted weights w_j = l/a_j:
+    d = gcd(w_S), and the index is tools/scaling.py's check_brieskorn sum."""
+    l = math.lcm(*a)
+    w = [l // x for x in a]
+    s, d = orbit_spec(w, support)
+    if len(s) < 3:
+        raise UncoveredCaseError(
+            f"support of size {len(s)} is uncovered: the restricted form must keep at least "
+            "3 variables for the reduced principal formula"
+        )
+    if d == 1:
+        notes = () if len(s) == len(w) else ("support has trivial isotropy, so the orbit is principal",)
+        return CZReport(2 * (sum(w) - l), Branch.PRINCIPAL_BRIESKORN, b_constant=sum(w) - l, notes=notes)
+    outside = [x for j, x in enumerate(w) if j not in s]
+    index = 2 * (sum(w[j] for j in s) - l) // d
+    index += sum(2 * (x // (2 * d)) + (x % (2 * d) != 0) for x in outside)
+    notes = [f"isotropy order taken as the gcd of the ambient weights over the support ({d})"]
+    even = [k for k, x in enumerate(w) if k not in s and x % (2 * d) == 0]
+    for k in even:
+        if not allow:
+            raise UncoveredCaseError(
+                f"transverse coordinate {k} (weight {w[k]} over isotropy {d}) gives the even "
+                f"integer {w[k] // d}; this closed-loop case is uncovered (pass "
+                "allow_extrapolation to use the even scalar branch)"
+            )
+        notes.append(
+            f"transverse coordinate {k} has ratio {w[k] // d}, an even integer; indexed with "
+            "the even scalar branch beyond the covered cases"
+        )
+    return CZReport(index, Branch.NONPRINCIPAL_BRIESKORN, bool(even), notes=tuple(notes))
+
+
+def outcome(call, *args):
+    """A call's report, or its refusal as (type, message)."""
+    try:
+        return call(*args)
+    except (DomainError, UncoveredCaseError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def brieskorn_orbits(draw):
+    """Exponents, a support (in one draw of four any list of coordinates,
+    else at least 3 distinct valid ones) and allow_extrapolation."""
+    a = draw(st.lists(st.integers(2, 60), min_size=4, max_size=8))
+    if draw(st.integers(0, 3)):
+        support = st.lists(st.integers(0, len(a) - 1), min_size=3, max_size=len(a), unique=True)
+    else:
+        support = st.lists(st.integers(-1, len(a)), max_size=len(a) + 1)
+    return a, draw(support), draw(st.booleans())
+
+
+@given(brieskorn_orbits())
+@settings(max_examples=500)
+def test_mu_orbit_brieskorn_matches_the_weight_space_route(orbit):
+    a, support, allow = orbit
+    assert outcome(mu_orbit_brieskorn, a, support, allow) == outcome(orbit_brieskorn_by_weights, a, support, allow)
 
 
 def random_weight_vector(rng, max_entry=50, max_len=8):

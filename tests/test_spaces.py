@@ -118,6 +118,12 @@ def test_make_brieskorn_exponents():
         make_brieskorn_exponents([1, 2, 2, 2])  # exponent 1 is a coordinate change
 
 
+@given(st.lists(_prime_powers.filter(lambda x: x >= 2), min_size=4, max_size=8))
+@settings(max_examples=300)
+def test_make_brieskorn_exponents_takes_l_and_l2_from_one_scan(a):
+    assert make_brieskorn_exponents(a) == BrieskornExponents(tuple(a), math.lcm(*a), compute_l2(a))
+
+
 @pytest.mark.parametrize("bad", [2.5, True, "3"])
 def test_make_brieskorn_exponents_refuses_non_integers(bad):
     with pytest.raises(DomainError, match=f"Brieskorn exponents must be integers, got {bad!r}"):

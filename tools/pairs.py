@@ -15,16 +15,23 @@ speed falls on both sides alike.
 
 For each workload and each end-to-end metric the report gives the median of
 each side, the interquartile range (IQR) of the parent's runs, the number of
-pairs in which the change is better, and a reading: "better" or "worse"
-when the medians differ by more than the parent's IQR, else "unresolved"
-(always so with fewer than two pairs, which have no IQR). The table goes
-to stdout; with `--out` the report is also written as JSON, the object that
-`tools/scaling.py --pairs` copies into a BENCH file.
+pairs in which the change is better, and two readings. The first is
+"better" when the medians differ by more than the parent's IQR and the
+change is better in at least nine tenths of the pairs, "worse" when they
+differ by more than the IQR the other way, else "unresolved" (always so with
+fewer than two pairs, which have no IQR). The second applies the metric's
+`bound` from `BENCHMARK.json`, the share by which the change median may be
+worse than the parent median: "within" or "beyond" it, or "unresolved" when
+there is no IQR, or when the parent's IQR exceeds the bound (as a share of
+its median) and not every change run beats every parent run. A workload
+whose two sides report different gate digests gets a warning on stderr.
+The table goes to stdout; with `--out` the report is also written as JSON,
+the object that `tools/scaling.py --pairs` copies into a BENCH file.
 
 The exit code is 1 if any run exits nonzero or counts a failed operation,
-else 0. Uses only the standard library; imports no czorb code and writes
-nothing under either checkout's perfbench/ (run.py keeps its own work
-files in `.bench_build/`).
+else 0; neither reading sets it. Uses only the standard library; imports no
+czorb code and writes nothing under either checkout's perfbench/ (run.py
+keeps its own work files in `.bench_build/`).
 """
 
 from __future__ import annotations
@@ -68,25 +75,34 @@ def benchmark(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     }
 
 
-def reading(parent: list[float], change: list[float], higher_is_better: bool) -> dict:
-    """Medians, parent IQR, better pairs and the reading of one metric."""
+def reading(parent: list[float], change: list[float], higher_is_better: bool, bound: float) -> dict:
+    """Medians, parent IQR, better pairs, the reading and the bound of one metric."""
     sign = 1 if higher_is_better else -1
     parent_median, change_median = statistics.median(parent), statistics.median(change)
     gap = sign * (change_median - parent_median)
+    better_pairs = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     iqr = None
     verdict = "unresolved"
     if len(parent) >= 2:
         q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
         iqr = q3 - q1
-        if abs(gap) > iqr:
-            verdict = "better" if gap > 0 else "worse"
+        if gap < -iqr:
+            verdict = "worse"
+        elif gap > iqr and better_pairs >= 0.9 * len(parent):
+            verdict = "better"
+    within = "beyond" if -gap > bound * abs(parent_median) else "within"
+    separated = all(sign * (c - p) > 0 for c in change for p in parent)
+    if iqr is None or (iqr > bound * abs(parent_median) and not separated):
+        within = "unresolved"
     return {
         "parent_median": round(parent_median, 5),
         "change_median": round(change_median, 5),
-        "change_better_pairs": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
+        "change_better_pairs": better_pairs,
         "parent_iqr": None if iqr is None else round(iqr, 5),
         "change_vs_parent": f"{(change_median / parent_median - 1) * 100:+.1f}%" if parent_median else None,
         "reading": verdict,
+        "bound": bound,
+        "bound_reading": within,
     }
 
 
@@ -105,7 +121,7 @@ def main(argv=None) -> int:
 
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in declared["workloads"]]
-    higher = {m["name"]: m["better"] == "higher" for m in declared["end_to_end"]}
+    metrics = {m["name"]: (m["better"] == "higher", m["bound"]) for m in declared["end_to_end"]}
     checkouts = {"parent": args.parent.resolve(), "change": ROOT}
     runs = {w: {side: [] for side in SIDES} for w in workloads}
     for i in range(args.pairs):
@@ -125,7 +141,10 @@ def main(argv=None) -> int:
         " side alternates: parent first in odd pairs, change first in even pairs",
         "host": f"{os.cpu_count()}-CPU {platform.system()}, {platform.python_implementation()}"
         f" {platform.python_version()}",
-        "reading": "better or worse when the gap between the medians exceeds the parent's IQR, else unresolved",
+        "reading": "better when the gap between the medians exceeds the parent's IQR and the change is better in"
+        " at least nine tenths of the pairs, worse when it exceeds the IQR the other way, else unresolved; bound_reading:"
+        " within or beyond BENCHMARK.json's bound on how much worse the change median may be, unresolved with"
+        " fewer than two pairs or when the parent's IQR is wider than the bound and the two sides' runs overlap",
         "parent": meta("parent"),
         "change": meta("change"),
         "workloads": {},
@@ -139,22 +158,26 @@ def main(argv=None) -> int:
             "digests": sorted({r["digest"] for r in both}, key=str),
             "failed": sorted({r["failed"] for r in both}, key=str),
         }
-        for name, is_higher in higher.items():
+        digests = {side: sorted({r["digest"] for r in runs[w][side]}, key=str) for side in SIDES}
+        if digests["parent"] != digests["change"]:
+            print(f"pairs: warning: {w} gate digests differ: parent {digests['parent']},"
+                  f" change {digests['change']}", file=sys.stderr)
+        for name, (is_higher, bound) in metrics.items():
             values = {side: [r["values"].get(name) for r in runs[w][side]] for side in SIDES}
             if all(v is not None for side in SIDES for v in values[side]):
-                entry[name] = reading(values["parent"], values["change"], is_higher)
+                entry[name] = reading(values["parent"], values["change"], is_higher, bound)
         report["workloads"][w] = entry
 
     print(f"{'workload':<14} {'metric':<13} {'parent':>12} {'change':>12} {'change':>8} {'parent IQR':>11}"
-          f" {'better':>7}  reading")
+          f" {'better':>7}  {'reading':<10} bound")
     for w, entry in report["workloads"].items():
-        for name in higher:
+        for name in metrics:
             if name in entry:
                 m = entry[name]
                 iqr = "-" if m["parent_iqr"] is None else f"{m['parent_iqr']:.6g}"
                 print(f"{w:<14} {name:<13} {m['parent_median']:>12.6g} {m['change_median']:>12.6g}"
                       f" {m['change_vs_parent'] or '-':>8} {iqr:>11} {m['change_better_pairs']:>3}/{args.pairs:<3}"
-                      f"  {m['reading']}")
+                      f"  {m['reading']:<10} {m['bound_reading']} {m['bound']:.0%}")
         print(f"{w:<14} digests {', '.join(map(str, entry['digests']))}; failed {entry['failed']}")
     if args.out:
         args.out.write_text(json.dumps(report, indent=1) + "\n")

@@ -12,9 +12,11 @@ per-coordinate sum of the stratum reduction (of degree 0 for a weighted
 projective space, l for a Brieskorn orbifold). A wrong value stops the run
 with an AssertionError. Without `--out` that is all it does, as a smoke test.
 
-With `--out` it then times each call: a row is the best of 5 repeats, in
-microseconds per call, with the call count per repeat chosen so that a
-repeat takes at least 20 ms. The report holds perfbench/run.py's metadata
+With `--out` it then times each call, in microseconds per call, with the
+call count per repeat chosen so that a repeat takes at least 20 ms. The
+rows are timed round-robin: each of 5 rounds times every row once, and a
+row's figure is its best round, so a slow phase of the host falls on all
+rows alike. The report holds perfbench/run.py's metadata
 (git sha, Python version, CPU count, `src_loc`), the rows and, with
 `--pairs`, the JSON report of `tools/pairs.py --out`, copied under "pairs".
 It imports czorb from `src/` of the checkout that holds it and uses
@@ -30,6 +32,7 @@ import random
 import sys
 import timeit
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -149,19 +152,18 @@ def check_brieskorn(a: list[int], support: list[int]) -> None:
     assert czorb.mu_orbit_brieskorn(a, support, True).index == index, "mu_orbit_brieskorn"
 
 
-def best_us(call) -> float:
-    """Best of REPEATS, in microseconds per call."""
-    timer = timeit.Timer(call)
+def calls_per_repeat(call) -> int:
+    """The first power of two of calls that takes at least MIN_REPEAT_S."""
     number = 1
-    while timer.timeit(number) < MIN_REPEAT_S:
+    while timeit.Timer(call).timeit(number) < MIN_REPEAT_S:
         number *= 2
-    return min(timer.repeat(REPEATS, number)) / number * 1e6
+    return number
 
 
 def rows(timed: bool) -> list[dict]:
-    """Check every call at every size; with `timed`, also time it."""
+    """Check every call at every size; with `timed`, also time it, round-robin."""
     rng = random.Random(f"scaling/{SEED}")
-    out = []
+    calls = []
     for n in SIZES:
         plain = weight_vector(rng, n, None)
         shared = weight_vector(rng, n, SHARED_PRIME)
@@ -174,20 +176,25 @@ def rows(timed: bool) -> list[dict]:
         check_l2(a)
         check_orbit(w, support)
         check_brieskorn(a, b_support)
-        if not timed:
-            continue
-        calls = {
-            "invariants": lambda: czorb.invariants(plain),
-            "invariants_shared_prime": lambda: czorb.invariants(shared),
-            "symplectic_area": lambda: czorb.symplectic_area(plain),
-            "compute_l2": lambda: czorb.compute_l2(a),
-            "mu_orbit_wps": lambda: czorb.mu_orbit_wps(w, support),
-            "mu_principal_brieskorn": lambda: czorb.mu_principal_brieskorn(a),
-            "mu_orbit_brieskorn": lambda: czorb.mu_orbit_brieskorn(a, b_support, True),
-        }
-        for op, call in calls.items():
-            out.append({"op": op, "n": n, "us_per_call": round(best_us(call), 2)})
-            print(f"{op:>24} n={n:<5} {out[-1]['us_per_call']:>10.2f} us", file=sys.stderr)
+        calls += [
+            ("invariants", n, partial(czorb.invariants, plain)),
+            ("invariants_shared_prime", n, partial(czorb.invariants, shared)),
+            ("symplectic_area", n, partial(czorb.symplectic_area, plain)),
+            ("compute_l2", n, partial(czorb.compute_l2, a)),
+            ("mu_orbit_wps", n, partial(czorb.mu_orbit_wps, w, support)),
+            ("mu_principal_brieskorn", n, partial(czorb.mu_principal_brieskorn, a)),
+            ("mu_orbit_brieskorn", n, partial(czorb.mu_orbit_brieskorn, a, b_support, True)),
+        ]
+    if not timed:
+        return []
+    numbers = [calls_per_repeat(call) for _, _, call in calls]
+    best = [math.inf] * len(calls)
+    for _ in range(REPEATS):
+        for i, ((_, _, call), number) in enumerate(zip(calls, numbers)):
+            best[i] = min(best[i], timeit.Timer(call).timeit(number) / number)
+    out = [{"op": op, "n": n, "us_per_call": round(t * 1e6, 2)} for (op, n, _), t in zip(calls, best)]
+    for row in out:
+        print(f"{row['op']:>24} n={row['n']:<5} {row['us_per_call']:>10.2f} us", file=sys.stderr)
     return out
 
 
@@ -205,7 +212,8 @@ def main(argv=None) -> None:
     meta = run.metadata() | {
         "seed": SEED,
         "sizes": list(SIZES),
-        "timer": f"best of {REPEATS} repeats of at least {MIN_REPEAT_S} s, microseconds per call",
+        "timer": f"best of {REPEATS} round-robin rounds, each a repeat of at least {MIN_REPEAT_S} s per row,"
+        " microseconds per call",
     }
     report = {"meta": meta, "scaling": scaling}
     if args.pairs:
