@@ -6,8 +6,9 @@ hypersurface in the weighted projective space with weights l/a_j, where
 l = lcm of the exponents. The companion integer l2 takes, for each prime
 p | l, the second-largest p-adic valuation among the exponents (counted with
 multiplicity, so a tied maximum keeps the maximum). make_brieskorn_exponents
-checks an orbifold once, where it enters, and its l = lcm(a) makes the weights
-a valid vector of gcd 1, so brieskorn_to_wci does not check them again.
+checks an orbifold where it enters (a record that it built passes again at
+once, a hand-built one is checked on every call), and its l = lcm(a) makes
+the weights a valid vector of gcd 1, so brieskorn_to_wci does not check them.
 """
 
 from __future__ import annotations
@@ -87,18 +88,27 @@ def _lcm_l2(a: tuple[int, ...]) -> tuple[int, int]:
     return l, l2
 
 
+_built = object()  # the last record built from a list below; it only ever holds a checked one
+
+
 def make_brieskorn_exponents(a: BrieskornExponents | Iterable[int]) -> BrieskornExponents:
     """Validate a Brieskorn exponent vector (at least 4 entries, all >= 2).
-    A BrieskornExponents passes unchanged if its a passes the same rules and
-    its l is the integer lcm(a), else AssertionError; l2 enters no index and
-    is not checked."""
+    The record last built here from a list passes at once, known by its
+    identity, which no record built by hand carries. Any other
+    BrieskornExponents is checked on every call: its a by the same rules,
+    and its l must be the integer lcm(a), else AssertionError (l2 enters no
+    index and is not checked); it comes back holding its checked tuple."""
+    global _built
+    if a is _built:
+        return a
     record = a if isinstance(a, BrieskornExponents) else None
     a = as_tuple("Brieskorn exponents", a if record is None else record.a)
     if len(a) < 4:
         raise DomainError(f"a Brieskorn exponent vector needs at least 4 entries, got {len(a)}")
     check_ints("Brieskorn exponents", a, 2)
     if record is None:
-        return BrieskornExponents(a, *_lcm_l2(a))
+        _built = BrieskornExponents(a, *_lcm_l2(a))
+        return _built
     lcm = math.lcm(*a)
     l = check_int("Brieskorn l", record.l)
     if l <= 0:
@@ -110,7 +120,7 @@ def make_brieskorn_exponents(a: BrieskornExponents | Iterable[int]) -> Brieskorn
             f"converted Brieskorn weights {[l // x for x in a]} invalid: they share the factor {l // lcm}, "
             f"so l={l} is not the lcm of {a}"
         )
-    return record
+    return record if a is record.a else BrieskornExponents(a, l, record.l2)
 
 
 def brieskorn_to_wci(b: BrieskornExponents | Iterable[int]) -> WCISpace:

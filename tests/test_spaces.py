@@ -274,3 +274,70 @@ def test_brieskorn_to_wci_refuses_converted_weights_that_share_a_factor():
     # l = 4 is not lcm(2, 2, 2, 2), so every weight l/a_j is 2.
     with pytest.raises(AssertionError, match=r"converted Brieskorn weights \[2, 2, 2, 2\] invalid"):
         brieskorn_to_wci(BrieskornExponents((2, 2, 2, 2), 4, 4))
+
+
+def test_a_record_built_from_a_list_passes_again_as_itself():
+    be = make_brieskorn_exponents([2, 3, 5, 7])
+    assert make_brieskorn_exponents(be) is be
+    hand_built = BrieskornExponents((2, 3, 5, 7), 210, 1)
+    assert hand_built == be
+    assert make_brieskorn_exponents(hand_built) is hand_built  # checked, and its tuple kept
+    with pytest.raises(DomainError, match="Brieskorn exponents must be a list of integers, not NoneType"):
+        make_brieskorn_exponents(None)
+
+
+@pytest.mark.parametrize("route", BRIESKORN_ROUTES)
+@pytest.mark.parametrize("container", [iter, list, tuple])
+def test_a_hand_built_record_answers_from_its_checked_exponents(route, container):
+    # An iterator a is used up by the check, so the routes must read the checked tuple.
+    expected = BRIESKORN_ROUTES[route](make_brieskorn_exponents([2, 3, 5, 7]))
+    assert BRIESKORN_ROUTES[route](BrieskornExponents(container([2, 3, 5, 7]), 210, 1)) == expected
+
+
+def test_a_hand_built_record_answers_the_values_of_its_exponents():
+    assert mu_principal_brieskorn(BrieskornExponents(iter([2, 3, 5, 7]), 210, 1)).index == 74
+    assert b_constant(BrieskornExponents(iter([2, 3, 5, 7]), 210, 1)) == 37
+
+
+def brieskorn_outcome(route, be):
+    try:
+        return BRIESKORN_ROUTES[route](be)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+_PRIMES_TO_5000 = [p for p in range(2, 5001) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+# Shaped like perfbench's library_wide Brieskorn inputs.
+library_exponents = st.lists(
+    st.tuples(st.sampled_from(_PRIMES_TO_5000), st.sampled_from(_PRIMES_TO_5000)).map(math.prod),
+    min_size=4,
+    max_size=40,
+)
+
+
+@given(library_exponents, library_exponents)
+@settings(max_examples=100, deadline=None)
+def test_a_built_record_answers_as_its_list_on_every_route(a, other):
+    be = make_brieskorn_exponents(a)
+    marked = {route: brieskorn_outcome(route, be) for route in BRIESKORN_ROUTES}  # no record built in between
+    unmarked = BrieskornExponents(list(a), be.l, be.l2)  # checked on every call
+    for route in BRIESKORN_ROUTES:
+        assert marked[route] == brieskorn_outcome(route, unmarked)
+        if route != "b_constant":  # b_constant reads a list as projective weights
+            assert marked[route] == brieskorn_outcome(route, list(a))
+    make_brieskorn_exponents(other)  # a second record takes the mark
+    assert make_brieskorn_exponents(be) is be
+    for route in BRIESKORN_ROUTES:
+        assert brieskorn_outcome(route, be) == marked[route]
+
+
+def test_a_hand_built_record_is_checked_again_after_its_list_changes():
+    exponents = [2, 3, 5, 7]
+    be = BrieskornExponents(exponents, 210, 1)
+    for route in BRIESKORN_ROUTES:
+        BRIESKORN_ROUTES[route](be)
+    exponents[3] = -7
+    for route in BRIESKORN_ROUTES:
+        with pytest.raises(DomainError) as refusal:
+            BRIESKORN_ROUTES[route](be)
+        assert str(refusal.value) == "Brieskorn exponents must be >= 2, got -7"

@@ -28,6 +28,13 @@ whose two sides report different gate digests gets a warning on stderr.
 The table goes to stdout; with `--out` the report is also written as JSON,
 the object that `tools/scaling.py --pairs` copies into a BENCH file.
 
+After the pairs, an import reading stands next to `setup_s`: for each
+side, the median child CPU time (user + sys) of 21 runs of
+`python -S -c "import czorb.cli"`, the sides interleaved, each in the
+environment that perfbench/worker.py's child_env builds for that side's
+`src/`. It counts the CPU an import takes, not how the host schedules it;
+it is printed and written to `--out` as "import_cpu_ms".
+
 The exit code is 1 if any run exits nonzero or counts a failed operation,
 else 0; neither reading sets it. Uses only the standard library; imports no
 czorb code and writes nothing under either checkout's perfbench/ (run.py
@@ -41,6 +48,7 @@ import json
 import os
 import platform
 import re
+import resource
 import statistics
 import subprocess
 import sys
@@ -49,6 +57,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
 DIGEST = re.compile(r"reference digest ([0-9a-f]+)")
+IMPORT_RUNS = 21
 
 
 def benchmark(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -73,6 +82,21 @@ def benchmark(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         "meta": meta,
         "values": {name: metric["value"] for name, metric in last["metrics"].items()},
     }
+
+
+def import_cpu_ms(checkouts: dict) -> dict:
+    """Each side's median child CPU time (user + sys), in ms, of IMPORT_RUNS
+    interleaved imports of czorb.cli from its own src/ in a fresh interpreter."""
+    times = {side: [] for side in SIDES}
+    for i in range(IMPORT_RUNS):
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            env = dict(os.environ, PYTHONPATH=str(checkouts[side] / "src"))  # as perfbench's child_env
+            env.pop("CZORB_EVAL_BUDGET", None)
+            before = resource.getrusage(resource.RUSAGE_CHILDREN)
+            subprocess.run([sys.executable, "-S", "-c", "import czorb.cli"], cwd=checkouts[side], env=env, check=True)
+            after = resource.getrusage(resource.RUSAGE_CHILDREN)
+            times[side].append(after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime)
+    return {side: round(statistics.median(times[side]) * 1e3, 2) for side in SIDES}
 
 
 def reading(parent: list[float], change: list[float], higher_is_better: bool, bound: float) -> dict:
@@ -167,6 +191,10 @@ def main(argv=None) -> int:
             if all(v is not None for side in SIDES for v in values[side]):
                 entry[name] = reading(values["parent"], values["change"], is_higher, bound)
         report["workloads"][w] = entry
+    report["import_cpu_ms"] = import_cpu_ms(checkouts) | {
+        "command": f'python -S -c "import czorb.cli", {IMPORT_RUNS} runs per side, the sides interleaved;'
+        " the median of each side's child CPU time (user + sys, RUSAGE_CHILDREN) in ms",
+    }
 
     print(f"{'workload':<14} {'metric':<13} {'parent':>12} {'change':>12} {'change':>8} {'parent IQR':>11}"
           f" {'better':>7}  {'reading':<10} bound")
@@ -179,6 +207,8 @@ def main(argv=None) -> int:
                       f" {m['change_vs_parent'] or '-':>8} {iqr:>11} {m['change_better_pairs']:>3}/{args.pairs:<3}"
                       f"  {m['reading']:<10} {m['bound_reading']} {m['bound']:.0%}")
         print(f"{w:<14} digests {', '.join(map(str, entry['digests']))}; failed {entry['failed']}")
+    cpu = report["import_cpu_ms"]
+    print(f"import czorb.cli child CPU, median of {IMPORT_RUNS}: parent {cpu['parent']} ms, change {cpu['change']} ms")
     if args.out:
         args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 1 if bad else 0

@@ -6,7 +6,8 @@ Checks `invariants` (on a well-formed vector and on one whose entries but one
 share the prime 7), `symplectic_area`, `compute_l2`, `mu_orbit_wps`,
 `mu_principal_brieskorn` and `mu_orbit_brieskorn` on seeded inputs of n = 10,
 30, 100, 300, 1000 and 3000 entries against definitions that share no code
-with czorb: `math.prod`, the omit-one gcd and lcm definitions of d and e, the
+with czorb, and `brieskorn_op` (perfbench's library_wide Brieskorn op: one
+record built from the list, then both routes on it) against the list routes: `math.prod`, the omit-one gcd and lcm definitions of d and e, the
 prime valuations behind l2, b = sum(l/a_j) - l with l = lcm(a), and the
 per-coordinate sum of the stratum reduction (of degree 0 for a weighted
 projective space, l for a Brieskorn orbifold). A wrong value stops the run
@@ -140,7 +141,8 @@ def brieskorn_support(a: list[int]) -> list[int]:
 def check_brieskorn(a: list[int], support: list[int]) -> None:
     """mu_principal_brieskorn against 2*b, b = sum(l/a_j) - l, and
     mu_orbit_brieskorn against 2*(sum_S w_j - l)/d + the scalar index of each
-    transverse w_k/d, over w_j = l/a_j with l = lcm(a), even ratios included."""
+    transverse w_k/d, over w_j = l/a_j with l = lcm(a), even ratios included;
+    brieskorn_op must answer as the two list routes."""
     l = math.lcm(*a)
     w = [l // x for x in a]
     assert czorb.mu_principal_brieskorn(a).index == 2 * (sum(w) - l), "mu_principal_brieskorn"
@@ -150,6 +152,15 @@ def check_brieskorn(a: list[int], support: list[int]) -> None:
     index = 2 * (sum(w[j] for j in support) - l) // d
     index += sum(2 * (x // (2 * d)) + (x % (2 * d) != 0) for x in outside)
     assert czorb.mu_orbit_brieskorn(a, support, True).index == index, "mu_orbit_brieskorn"
+    list_routes = czorb.mu_principal_brieskorn(a), czorb.mu_orbit_brieskorn(a, support, True)
+    assert brieskorn_op(a, support) == list_routes, "brieskorn_op"
+
+
+def brieskorn_op(a: list[int], support: list[int]) -> tuple:
+    """make_brieskorn_exponents on the list, then both routes on the record
+    it returns, as perfbench/worker.py's call_library makes them."""
+    be = czorb.make_brieskorn_exponents(a)
+    return czorb.mu_principal_brieskorn(be), czorb.mu_orbit_brieskorn(be, support, True)
 
 
 def calls_per_repeat(call) -> int:
@@ -184,6 +195,7 @@ def rows(timed: bool) -> list[dict]:
             ("mu_orbit_wps", n, partial(czorb.mu_orbit_wps, w, support)),
             ("mu_principal_brieskorn", n, partial(czorb.mu_principal_brieskorn, a)),
             ("mu_orbit_brieskorn", n, partial(czorb.mu_orbit_brieskorn, a, b_support, True)),
+            ("brieskorn_op", n, partial(brieskorn_op, a, b_support)),
         ]
     if not timed:
         return []
