@@ -9,7 +9,11 @@ class Record:
     and an __init__ is built from them that takes each field positionally
     or by keyword, as namedtuple builds its __new__; a subclass that names
     no new field keeps its parent's, and one that writes an __init__ or adds
-    fields raises TypeError. The built __init__ carries no annotations.
+    fields raises TypeError. The built __init__ carries no annotations. A
+    class with a rule defines it as a static `_check`, which takes the field
+    values in order and returns them checked; the built __init__ stores what
+    it returns, and a classmethod `_unchecked` skips it, for builders that
+    have proved the rule themselves.
 
     Equality, hashing and repr follow the fields in order, as those of a
     frozen dataclass do, and a record never equals an instance of another
@@ -30,9 +34,15 @@ class Record:
             raise TypeError(f"{cls.__qualname__}: a record writes no __init__ and adds no fields to a parent's")
         defaults = vars(cls).get("_defaults", {})
         params = ", ".join(f"{name}=_defaults[{name!r}]" if name in defaults else name for name in fields)
+        names = ", ".join(fields)
+        check = f"\n    ({names},) = _check({names})" if "_check" in vars(cls) else ""
         body = "".join(f"\n    _setattr(self, {name!r}, {name})" for name in fields)
-        namespace = {"_setattr": object.__setattr__, "_defaults": defaults}
-        exec(f"def __init__(self, {params}):{body}", namespace)
+        namespace = {"_setattr": object.__setattr__, "_new": object.__new__, "_defaults": defaults}
+        if check:
+            namespace["_check"] = cls._check
+            exec(f"def _unchecked(cls, {names}):\n    self = _new(cls){body}\n    return self", namespace)
+            cls._unchecked = classmethod(namespace["_unchecked"])
+        exec(f"def __init__(self, {params}):{check}{body}", namespace)
         cls.__init__ = init = namespace["__init__"]
         init.__qualname__ = f"{cls.__qualname__}.__init__"
         init.__module__ = cls.__module__

@@ -5,10 +5,10 @@ A Brieskorn orbifold with exponents (a_0, ..., a_n) is treated as a degree-l
 hypersurface in the weighted projective space with weights l/a_j, where
 l = lcm of the exponents. The companion integer l2 takes, for each prime
 p | l, the second-largest p-adic valuation among the exponents (counted with
-multiplicity, so a tied maximum keeps the maximum). make_brieskorn_exponents
-checks an orbifold where it enters (a record that it built passes again at
-once, a hand-built one is checked on every call), and its l = lcm(a) makes
-the weights a valid vector of gcd 1, so brieskorn_to_wci does not check them.
+multiplicity, so a tied maximum keeps the maximum). Each record is checked
+where it is built, by its constructor; a BrieskornExponents has l = lcm(a),
+so its weights l/a_j are a valid vector of gcd 1 that brieskorn_to_wci does
+not check again.
 """
 
 from __future__ import annotations
@@ -26,11 +26,20 @@ from .weights import WeightVector, make_weight_vector
 class WCISpace(Record):
     """Quasi-smooth weighted complete intersection of multidegree
     (m_1, ..., m_r); quasi-smoothness is asserted by the caller, not checked.
-
-    Construct through make_wci_space or brieskorn_to_wci.
-    """
+    The constructor makes the weights a WeightVector and the degrees a tuple
+    of r >= 1 positive integers, r <= n - 2, else DomainError."""
 
     __slots__ = ("weights", "degrees")
+
+    @staticmethod
+    def _check(weights, degrees):
+        wv = make_weight_vector(weights)
+        degs = check_ints("degrees", degrees, 1)
+        if not degs:
+            raise DomainError("a complete intersection needs at least one degree")
+        if len(degs) > wv.n - 2:
+            raise DomainError(f"codimension r={len(degs)} exceeds n-2={wv.n - 2}; complex dimension would drop below 2")
+        return wv, degs
 
     @property
     def r(self) -> int:
@@ -39,27 +48,30 @@ class WCISpace(Record):
 
 class BrieskornExponents(Record):
     """Exponent vector of a Brieskorn form, with derived l = lcm(a_j) and l2.
-
-    Construct through make_brieskorn_exponents.
-    """
+    The constructor makes a a tuple of at least 4 integers >= 2 and requires
+    l = lcm(a); l2 enters no index and is not checked."""
 
     __slots__ = ("a", "l", "l2")
+
+    @staticmethod
+    def _check(a, l, l2):
+        a = _exponents(a)
+        if check_int("Brieskorn l", l) <= 0:
+            raise DomainError(f"Brieskorn l must be positive, got {l}")
+        if l != (lcm := math.lcm(*a)):
+            if l % lcm:
+                raise AssertionError(f"non-integer index: l={l} is not a multiple of every exponent of {a}")
+            raise AssertionError(f"converted Brieskorn weights {[l // x for x in a]} invalid: they share the factor "
+                                 f"{l // lcm}, so l={l} is not the lcm of {a}")
+        return a, l, l2
 
 
 Space = WCISpace | WeightVector | Iterable[int]  # a WCI, or a WPS by its weights
 
 
-def make_wci_space(weights: Iterable[int], degrees: Iterable[int]) -> WCISpace:
-    wv = make_weight_vector(weights)
-    degs = check_ints("degrees", degrees, 1)
-    if not degs:
-        raise DomainError("a complete intersection needs at least one degree")
-    r, n = len(degs), wv.n
-    if r > n - 2:
-        raise DomainError(
-            f"codimension r={r} exceeds n-2={n - 2}; complex dimension would drop below 2"
-        )
-    return WCISpace(wv, degs)
+def make_wci_space(weights: WeightVector | Iterable[int], degrees: Iterable[int]) -> WCISpace:
+    """WCISpace(weights, degrees), checked by its constructor."""
+    return WCISpace(weights, degrees)
 
 
 def compute_l2(a: Iterable[int]) -> int:
@@ -88,39 +100,21 @@ def _lcm_l2(a: tuple[int, ...]) -> tuple[int, int]:
     return l, l2
 
 
-_built = object()  # the last record built from a list below; it only ever holds a checked one
+def _exponents(a) -> tuple[int, ...]:
+    """Brieskorn exponents as a tuple of at least 4 integers >= 2, else DomainError."""
+    a = as_tuple("Brieskorn exponents", a)
+    if len(a) < 4:
+        raise DomainError(f"a Brieskorn exponent vector needs at least 4 entries, got {len(a)}")
+    return check_ints("Brieskorn exponents", a, 2)
 
 
 def make_brieskorn_exponents(a: BrieskornExponents | Iterable[int]) -> BrieskornExponents:
-    """Validate a Brieskorn exponent vector (at least 4 entries, all >= 2).
-    The record last built here from a list passes at once, known by its
-    identity, which no record built by hand carries. Any other
-    BrieskornExponents is checked on every call: its a by the same rules,
-    and its l must be the integer lcm(a), else AssertionError (l2 enters no
-    index and is not checked); it comes back holding its checked tuple."""
-    global _built
-    if a is _built:
+    """A BrieskornExponents as is, or the record of the exponents `a`, its
+    l = lcm(a) and l2 taken in one scan."""
+    if isinstance(a, BrieskornExponents):
         return a
-    record = a if isinstance(a, BrieskornExponents) else None
-    a = as_tuple("Brieskorn exponents", a if record is None else record.a)
-    if len(a) < 4:
-        raise DomainError(f"a Brieskorn exponent vector needs at least 4 entries, got {len(a)}")
-    check_ints("Brieskorn exponents", a, 2)
-    if record is None:
-        _built = BrieskornExponents(a, *_lcm_l2(a))
-        return _built
-    lcm = math.lcm(*a)
-    l = check_int("Brieskorn l", record.l)
-    if l <= 0:
-        raise DomainError(f"Brieskorn l must be positive, got {l}")
-    if l != lcm:
-        if l % lcm:
-            raise AssertionError(f"non-integer index: l={l} is not a multiple of every exponent of {a}")
-        raise AssertionError(
-            f"converted Brieskorn weights {[l // x for x in a]} invalid: they share the factor {l // lcm}, "
-            f"so l={l} is not the lcm of {a}"
-        )
-    return record if a is record.a else BrieskornExponents(a, l, record.l2)
+    a = _exponents(a)
+    return BrieskornExponents._unchecked(a, *_lcm_l2(a))
 
 
 def brieskorn_to_wci(b: BrieskornExponents | Iterable[int]) -> WCISpace:
@@ -130,7 +124,7 @@ def brieskorn_to_wci(b: BrieskornExponents | Iterable[int]) -> WCISpace:
     is 1, as for each prime p | l some exponent attains the maximal
     valuation, making its weight p-free."""
     b = make_brieskorn_exponents(b)
-    return WCISpace(WeightVector(tuple(map(b.l.__floordiv__, b.a))), (b.l,))
+    return WCISpace._unchecked(WeightVector._unchecked(tuple(map(b.l.__floordiv__, b.a))), (b.l,))
 
 
 def b_constant(space: Space | BrieskornExponents) -> int:

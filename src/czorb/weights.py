@@ -1,7 +1,7 @@
 """Weight vectors for weighted projective spaces and their derived invariants.
 
 A weight vector is a list (w_0, ..., w_n) of positive integers, n >= 1, with
-gcd 1 overall. From it we derive:
+gcd 1 overall, as WeightVector's constructor checks. From it we derive:
 
   sum      w_0 + ... + w_n
   product  w_0 * ... * w_n
@@ -12,9 +12,8 @@ gcd 1 overall. From it we derive:
 
 The space is well-formed exactly when every d_j = 1, equivalently a_w = 1.
 As gcd(w) = 1, the d_j are pairwise coprime (a prime dividing d_i and d_j,
-i != j, would divide every weight), so a_w is their product and e_j = a_w/d_j;
-a WeightVector built by hand with gcd > 1 is outside this contract. For
-length-2 vectors, d_0 = w_1, d_1 = w_0, e_0 = d_1 and e_1 = d_0.
+i != j, would divide every weight), so a_w is their product and e_j = a_w/d_j.
+For length-2 vectors, d_0 = w_1, d_1 = w_0, e_0 = d_1 and e_1 = d_0.
 
 Long vectors take a few C-level passes: the gcd scans stop at the first
 prefix of gcd 1, after which every d_j is 1, and the product splits a long
@@ -35,9 +34,19 @@ from .record import Record
 
 
 class WeightVector(Record):
-    """Validated weight vector; construct through make_weight_vector."""
+    """A weight vector; its constructor makes w a tuple of at least 2 positive
+    integers, else DomainError, of gcd 1, else NonCoprimeError."""
 
     __slots__ = ("w",)
+
+    @staticmethod
+    def _check(w):
+        w = as_tuple("weights", w)
+        if len(w) < 2:
+            raise DomainError(f"a weight vector needs at least 2 entries, got {len(w)}")
+        if (g := math.gcd(*check_ints("weights", w, 1))) != 1:
+            raise NonCoprimeError(g, w)
+        return (w,)
 
     @property
     def n(self) -> int:
@@ -58,23 +67,9 @@ class WeightInvariants(Record):
     __slots__ = ("sum", "product", "d", "e", "a_w", "reduced", "well_formed")
 
 
-def make_weight_vector(raw: Iterable[int]) -> WeightVector:
-    """Validate and freeze a weight vector; a WeightVector is returned as is.
-
-    Raises DomainError for an argument that is not iterable, lengths < 2 or
-    non-positive entries, and NonCoprimeError (carrying the gcd) when the
-    entries share a factor.
-    """
-    if isinstance(raw, WeightVector):
-        return raw
-    w = as_tuple("weights", raw)
-    if len(w) < 2:
-        raise DomainError(f"a weight vector needs at least 2 entries, got {len(w)}")
-    check_ints("weights", w, 1)
-    g = math.gcd(*w)
-    if g != 1:
-        raise NonCoprimeError(g, w)
-    return WeightVector(w)
+def make_weight_vector(raw: WeightVector | Iterable[int]) -> WeightVector:
+    """A WeightVector as is, or the WeightVector of the entries `raw`."""
+    return raw if isinstance(raw, WeightVector) else WeightVector(raw)
 
 
 def invariants(wv: WeightVector | Iterable[int]) -> WeightInvariants:
@@ -85,7 +80,7 @@ def invariants(wv: WeightVector | Iterable[int]) -> WeightInvariants:
     gcd gcd(w_{j+1}..). The prefix scan stops at q, its first P_q = 1; every
     later d_j is 1, so the suffix scan covers only w_1..w_{q-1}, starting
     from gcd(w_q..), and a_w is the lcm of d_0..d_{q-1}. e_j = a_w // d_j,
-    since make_weight_vector's gcd(w) = 1 makes the d_j pairwise coprime.
+    since a WeightVector's gcd(w) = 1 makes the d_j pairwise coprime.
     When a_w = 1, e is d and the vector is its own reduction; otherwise each
     w_j/e_j divides w_j, so w/e has gcd 1 and is built unchecked.
     """
@@ -103,7 +98,7 @@ def invariants(wv: WeightVector | Iterable[int]) -> WeightInvariants:
         e = tuple(map(a_w.__floordiv__, head)) + (a_w,) * (len(w) - q)
         if any(map(mod, w, e)):  # impossible (lcm(d)/d_j divides w_j): a fault, not a truncation
             raise AssertionError(f"e={e} does not divide w={w}")
-        reduced = WeightVector(tuple(map(floordiv, w, e)))
+        reduced = WeightVector._unchecked(tuple(map(floordiv, w, e)))
 
     return WeightInvariants(
         sum=sum(w),

@@ -94,6 +94,10 @@ def _subclass(name: str) -> type:
 
 SUBCLASSES = {name: _subclass(name) for name in NAMES}
 
+# A last field that differs from the one CASES builds; the classes with a
+# rule need one that passes it.
+OTHER_LAST = {"WeightVector": (1, 2), "WCISpace": (2,)}
+
 
 def _fields(record) -> tuple:
     return tuple(getattr(record, name) for name in type(record).__slots__)
@@ -141,7 +145,7 @@ def test_a_subclass_without_new_fields_keeps_its_parents(name):
     sub = SUBCLASSES[name](*fields)
     assert repr(sub) == "Sub" + text
     assert sub == SUBCLASSES[name](*fields)
-    assert sub != SUBCLASSES[name](*fields[:-1], "other")
+    assert sub != SUBCLASSES[name](*fields[:-1], OTHER_LAST.get(name, "other"))
     assert hash(sub) == hash(record)
     clone = pickle.loads(pickle.dumps(sub))
     assert type(clone) is type(sub) and clone == sub and repr(clone) == repr(sub)
@@ -149,16 +153,17 @@ def test_a_subclass_without_new_fields_keeps_its_parents(name):
 
 @pytest.mark.parametrize("name", NAMES)
 def test_constructor_signature(name):
-    cls = type(CASES[name][0]())
+    record = CASES[name][0]()
+    cls = type(record)
     params = list(inspect.signature(cls).parameters.values())
     assert [(p.name, p.default) for p in params] == SIGNATURES[name]
     assert all(p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD for p in params)
-    required = sum(p.default is EMPTY for p in params)
-    cls(*range(required))
+    required = _fields(record)[: sum(p.default is EMPTY for p in params)]
+    cls(*required)
     with pytest.raises(TypeError):
-        cls(*range(required - 1))
+        cls(*required[:-1])
     with pytest.raises(TypeError):
-        cls(*range(required), unknown=0)
+        cls(*required, unknown=0)
 
 
 def test_a_record_class_that_would_be_built_wrong_is_refused():

@@ -1,5 +1,7 @@
+import copy
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -13,6 +15,7 @@ from czorb.cz_indices import mu_orbit_brieskorn, mu_principal_brieskorn
 from czorb.errors import DomainError
 from czorb.spaces import (
     BrieskornExponents,
+    WCISpace,
     b_constant,
     brieskorn_to_wci,
     check_theorem_hypotheses,
@@ -20,7 +23,7 @@ from czorb.spaces import (
     make_brieskorn_exponents,
     make_wci_space,
 )
-from czorb.weights import invariants, make_weight_vector
+from czorb.weights import WeightVector, invariants, make_weight_vector
 
 
 def test_compute_l2_examples():
@@ -221,67 +224,64 @@ BRIESKORN_ROUTES = {
 }
 
 
-@pytest.mark.parametrize("route", BRIESKORN_ROUTES)
+# Every way a record comes into being goes through its class, and so through
+# its check: the constructor, by position or keyword, and copy, deepcopy and
+# pickle of a record built around the check.
+BUILDERS = {
+    "positional": lambda cls, *fields: cls(*fields),
+    "keyword": lambda cls, *fields: cls(**dict(zip(cls._fields, fields))),
+    "copy": lambda cls, *fields: copy.copy(cls._unchecked(*fields)),
+    "deepcopy": lambda cls, *fields: copy.deepcopy(cls._unchecked(*fields)),
+    "pickle": lambda cls, *fields: pickle.loads(pickle.dumps(cls._unchecked(*fields))),
+}
+
+
+# The fields of a bad record, not the record: building one refuses it.
+@pytest.mark.parametrize("builder", BUILDERS)
 @pytest.mark.parametrize(
-    "be, message",
+    "fields, message",
     [
-        (BrieskornExponents((-2, 3, 5, 7), 210, 1), "Brieskorn exponents must be >= 2, got -2"),
-        (BrieskornExponents((2, 3, 5), 30, 1), "a Brieskorn exponent vector needs at least 4 entries, got 3"),
-        (BrieskornExponents((1, 2, 3, 5), 30, 1), "Brieskorn exponents must be >= 2, got 1"),
-        (BrieskornExponents((2, 3, 5, 7), 210.0, 1), "Brieskorn l must be an integer, got 210.0"),
-        (BrieskornExponents((2, 3, 5, "7"), 210, 1), "Brieskorn exponents must be integers, got '7'"),
-        (BrieskornExponents((2, 3, 5, 7), "210", 1), "Brieskorn l must be an integer, got '210'"),
-        (BrieskornExponents(5, 5, 5), "Brieskorn exponents must be a list of integers, not int"),
-        (BrieskornExponents((2, 3, 5, 7), -210, 1), "Brieskorn l must be positive, got -210"),
-        (BrieskornExponents((2, 3, 5, 7), 0, 1), "Brieskorn l must be positive, got 0"),
+        (((-2, 3, 5, 7), 210, 1), "Brieskorn exponents must be >= 2, got -2"),
+        (((2, 3, 5), 30, 1), "a Brieskorn exponent vector needs at least 4 entries, got 3"),
+        (((1, 2, 3, 5), 30, 1), "Brieskorn exponents must be >= 2, got 1"),
+        (((2, 3, 5, 7), 210.0, 1), "Brieskorn l must be an integer, got 210.0"),
+        (((2, 3, 5, "7"), 210, 1), "Brieskorn exponents must be integers, got '7'"),
+        (((2, 3, 5, 7), "210", 1), "Brieskorn l must be an integer, got '210'"),
+        ((5, 5, 5), "Brieskorn exponents must be a list of integers, not int"),
+        (((2, 3, 5, 7), -210, 1), "Brieskorn l must be positive, got -210"),
+        (((2, 3, 5, 7), 0, 1), "Brieskorn l must be positive, got 0"),
     ],
     ids=[
         "negative", "three-exponents", "exponent-1", "float-l", "str-exponent", "str-l", "int-a", "negative-l", "zero-l"
     ],
 )
-def test_every_brieskorn_route_refuses_a_bad_hand_built_record_alike(route, be, message):
+def test_a_bad_brieskorn_record_is_refused_where_it_is_built(builder, fields, message):
     with pytest.raises(DomainError) as refusal:
-        BRIESKORN_ROUTES[route](be)
+        BUILDERS[builder](BrieskornExponents, *fields)
     assert str(refusal.value) == message
+    if not message.startswith("Brieskorn l"):  # the exponents alone are bad
+        with pytest.raises(DomainError) as listed:
+            make_brieskorn_exponents(fields[0])
+        assert str(listed.value) == message
 
 
-def test_both_brieskorn_routes_refuse_an_l_that_is_not_a_multiple_of_every_exponent():
-    be = BrieskornExponents((2, 3, 5, 7), 100, 1)
+def test_a_brieskorn_record_is_refused_when_l_is_not_a_multiple_of_every_exponent():
     message = r"non-integer index: l=100 is not a multiple of every exponent of \(2, 3, 5, 7\)"
     with pytest.raises(AssertionError, match=message):
-        mu_principal_brieskorn(be)
-    with pytest.raises(AssertionError, match=message):
-        mu_orbit_brieskorn(be, [0, 2, 3], True)
-    with pytest.raises(AssertionError, match=message):
-        brieskorn_to_wci(be)
-    with pytest.raises(AssertionError, match=message):
-        b_constant(be)
+        BrieskornExponents((2, 3, 5, 7), 100, 1)
 
 
-def test_both_brieskorn_routes_refuse_an_l_that_is_a_proper_multiple_of_the_lcm():
-    # l = 4 is twice lcm(2, 2, 2, 2), so every weight l/a_j is 2.
-    be = BrieskornExponents((2, 2, 2, 2), 4, 4)
+def test_a_brieskorn_record_is_refused_when_l_is_a_proper_multiple_of_the_lcm():
+    # l = 4 is twice lcm(2, 2, 2, 2), so every weight l/a_j would be 2.
     message = r"converted Brieskorn weights \[2, 2, 2, 2\] invalid: they share the factor 2, so l=4 is not the lcm"
     with pytest.raises(AssertionError, match=message):
-        mu_principal_brieskorn(be)
-    with pytest.raises(AssertionError, match=message):
-        mu_orbit_brieskorn(be, [0, 1, 2], True)
-    with pytest.raises(AssertionError, match=message):
-        b_constant(be)
+        BrieskornExponents((2, 2, 2, 2), 4, 4)
 
 
-def test_brieskorn_to_wci_refuses_converted_weights_that_share_a_factor():
-    # l = 4 is not lcm(2, 2, 2, 2), so every weight l/a_j is 2.
-    with pytest.raises(AssertionError, match=r"converted Brieskorn weights \[2, 2, 2, 2\] invalid"):
-        brieskorn_to_wci(BrieskornExponents((2, 2, 2, 2), 4, 4))
-
-
-def test_a_record_built_from_a_list_passes_again_as_itself():
-    be = make_brieskorn_exponents([2, 3, 5, 7])
-    assert make_brieskorn_exponents(be) is be
+def test_make_brieskorn_exponents_returns_any_record_as_is():
+    assert make_brieskorn_exponents(make_brieskorn_exponents([2, 3, 5, 7])) == BrieskornExponents((2, 3, 5, 7), 210, 1)
     hand_built = BrieskornExponents((2, 3, 5, 7), 210, 1)
-    assert hand_built == be
-    assert make_brieskorn_exponents(hand_built) is hand_built  # checked, and its tuple kept
+    assert make_brieskorn_exponents(hand_built) is hand_built
     with pytest.raises(DomainError, match="Brieskorn exponents must be a list of integers, not NoneType"):
         make_brieskorn_exponents(None)
 
@@ -289,7 +289,7 @@ def test_a_record_built_from_a_list_passes_again_as_itself():
 @pytest.mark.parametrize("route", BRIESKORN_ROUTES)
 @pytest.mark.parametrize("container", [iter, list, tuple])
 def test_a_hand_built_record_answers_from_its_checked_exponents(route, container):
-    # An iterator a is used up by the check, so the routes must read the checked tuple.
+    # An iterator a is used up by the check, so the record must hold the checked tuple.
     expected = BRIESKORN_ROUTES[route](make_brieskorn_exponents([2, 3, 5, 7]))
     assert BRIESKORN_ROUTES[route](BrieskornExponents(container([2, 3, 5, 7]), 210, 1)) == expected
 
@@ -315,29 +315,26 @@ library_exponents = st.lists(
 )
 
 
-@given(library_exponents, library_exponents)
+@given(library_exponents)
 @settings(max_examples=100, deadline=None)
-def test_a_built_record_answers_as_its_list_on_every_route(a, other):
+def test_a_hand_built_record_answers_as_its_list_on_every_route(a):
     be = make_brieskorn_exponents(a)
-    marked = {route: brieskorn_outcome(route, be) for route in BRIESKORN_ROUTES}  # no record built in between
-    unmarked = BrieskornExponents(list(a), be.l, be.l2)  # checked on every call
+    hand_built = BrieskornExponents(list(a), math.lcm(*a), compute_l2(a))
+    assert hand_built == be
     for route in BRIESKORN_ROUTES:
-        assert marked[route] == brieskorn_outcome(route, unmarked)
+        outcome = brieskorn_outcome(route, be)
+        assert brieskorn_outcome(route, hand_built) == outcome
         if route != "b_constant":  # b_constant reads a list as projective weights
-            assert marked[route] == brieskorn_outcome(route, list(a))
-    make_brieskorn_exponents(other)  # a second record takes the mark
-    assert make_brieskorn_exponents(be) is be
-    for route in BRIESKORN_ROUTES:
-        assert brieskorn_outcome(route, be) == marked[route]
+            assert brieskorn_outcome(route, list(a)) == outcome
 
 
-def test_a_hand_built_record_is_checked_again_after_its_list_changes():
-    exponents = [2, 3, 5, 7]
+def test_a_record_keeps_its_own_tuple_after_the_callers_list_changes():
+    exponents, weights, degrees = [2, 3, 5, 7], [1, 1, 1, 1, 1], [3]
     be = BrieskornExponents(exponents, 210, 1)
-    for route in BRIESKORN_ROUTES:
-        BRIESKORN_ROUTES[route](be)
-    exponents[3] = -7
-    for route in BRIESKORN_ROUTES:
-        with pytest.raises(DomainError) as refusal:
-            BRIESKORN_ROUTES[route](be)
-        assert str(refusal.value) == "Brieskorn exponents must be >= 2, got -7"
+    wv = WeightVector(weights)
+    wci = WCISpace(weights, degrees)
+    before = [brieskorn_outcome(route, be) for route in BRIESKORN_ROUTES]
+    exponents[3], weights[0], degrees[0] = -7, 2, -3
+    assert [brieskorn_outcome(route, be) for route in BRIESKORN_ROUTES] == before
+    assert be.a == (2, 3, 5, 7)
+    assert wv.w == (1, 1, 1, 1, 1) and wci.weights == wv and wci.degrees == (3,)

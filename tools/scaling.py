@@ -2,16 +2,19 @@
 
     python3 tools/scaling.py [--out BENCH.json [--pairs PAIRS.json]]
 
-Checks `invariants` (on a well-formed vector and on one whose entries but one
-share the prime 7), `symplectic_area`, `compute_l2`, `mu_orbit_wps`,
+Checks `make_weight_vector`, `make_brieskorn_exponents` (the record check
+alone), `invariants` (on a well-formed vector and on one whose entries but
+one share the prime 7), `symplectic_area`, `compute_l2`, `mu_orbit_wps`,
 `mu_principal_brieskorn` and `mu_orbit_brieskorn` on seeded inputs of n = 10,
 30, 100, 300, 1000 and 3000 entries against definitions that share no code
 with czorb, and `brieskorn_op` (perfbench's library_wide Brieskorn op: one
-record built from the list, then both routes on it) against the list routes: `math.prod`, the omit-one gcd and lcm definitions of d and e, the
-prime valuations behind l2, b = sum(l/a_j) - l with l = lcm(a), and the
-per-coordinate sum of the stratum reduction (of degree 0 for a weighted
-projective space, l for a Brieskorn orbifold). A wrong value stops the run
-with an AssertionError. Without `--out` that is all it does, as a smoke test.
+record built from the list, then both routes on it) against the list routes:
+`tuple(w)`, `math.prod`, the omit-one gcd and lcm definitions of d and e,
+`math.lcm` and the prime valuations behind l2, b = sum(l/a_j) - l with
+l = lcm(a), and the per-coordinate sum of the stratum reduction (of degree 0
+for a weighted projective space, l for a Brieskorn orbifold). A wrong value
+stops the run with an AssertionError. Without `--out` that is all it does,
+as a smoke test.
 
 With `--out` it then times each call, in microseconds per call, with the
 call count per repeat chosen so that a repeat takes at least 20 ms. The
@@ -103,13 +106,22 @@ def check_invariants(w: list[int]) -> None:
     assert inv.well_formed == (inv.a_w == 1)
 
 
-def check_l2(a: list[int]) -> None:
-    """compute_l2(a) against the second-largest valuation of each prime."""
+def l2_by_valuations(a: list[int]) -> int:
+    """The product over the primes of the second-largest valuation among
+    the entries, for entries whose primes are all in SMALL_PRIMES."""
     l2 = 1
     for p in SMALL_PRIMES:
         valuations = sorted((_valuation(x, p) for x in a), reverse=True)
         l2 *= p ** (valuations[1] if len(valuations) > 1 else 0)
-    assert czorb.compute_l2(a) == l2, "compute_l2"
+    return l2
+
+
+def check_records(w: list[int], a: list[int]) -> None:
+    """make_weight_vector(w) against tuple(w), and make_brieskorn_exponents(a)
+    against tuple(a), math.lcm and the valuation definition of l2."""
+    assert czorb.make_weight_vector(w).w == tuple(w), "make_weight_vector"
+    be = czorb.make_brieskorn_exponents(a)
+    assert (be.a, be.l, be.l2) == (tuple(a), math.lcm(*a), l2_by_valuations(a)), "make_brieskorn_exponents"
 
 
 def _valuation(x: int, p: int) -> int:
@@ -181,13 +193,16 @@ def rows(timed: bool) -> list[dict]:
         a = exponents(rng, n)
         w, support = orbit(rng, n)
         b_support = brieskorn_support(a)
+        check_records(plain, a)
         check_invariants(plain)
         check_invariants(shared)
         assert czorb.symplectic_area(plain) == Fraction(-1, math.prod(plain)), "symplectic_area"
-        check_l2(a)
+        assert czorb.compute_l2(a) == l2_by_valuations(a), "compute_l2"
         check_orbit(w, support)
         check_brieskorn(a, b_support)
         calls += [
+            ("make_weight_vector", n, partial(czorb.make_weight_vector, plain)),
+            ("make_brieskorn_exponents", n, partial(czorb.make_brieskorn_exponents, a)),
             ("invariants", n, partial(czorb.invariants, plain)),
             ("invariants_shared_prime", n, partial(czorb.invariants, shared)),
             ("symplectic_area", n, partial(czorb.symplectic_area, plain)),
