@@ -38,11 +38,13 @@ class Record:
         check = f"\n    ({names},) = _check({names})" if "_check" in vars(cls) else ""
         body = "".join(f"\n    _setattr(self, {name!r}, {name})" for name in fields)
         namespace = {"_setattr": object.__setattr__, "_new": object.__new__, "_defaults": defaults}
+        filename = f"<czorb record {cls.__qualname__}>"  # names the record in a refusal's traceback
         if check:
             namespace["_check"] = cls._check
-            exec(f"def _unchecked(cls, {names}):\n    self = _new(cls){body}\n    return self", namespace)
+            source = f"def _unchecked(cls, {names}):\n    self = _new(cls){body}\n    return self"
+            exec(compile(source, filename, "exec"), namespace)
             cls._unchecked = classmethod(namespace["_unchecked"])
-        exec(f"def __init__(self, {params}):{check}{body}", namespace)
+        exec(compile(f"def __init__(self, {params}):{check}{body}", filename, "exec"), namespace)
         cls.__init__ = init = namespace["__init__"]
         init.__qualname__ = f"{cls.__qualname__}.__init__"
         init.__module__ = cls.__module__

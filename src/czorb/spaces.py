@@ -5,10 +5,14 @@ A Brieskorn orbifold with exponents (a_0, ..., a_n) is treated as a degree-l
 hypersurface in the weighted projective space with weights l/a_j, where
 l = lcm of the exponents. The companion integer l2 takes, for each prime
 p | l, the second-largest p-adic valuation among the exponents (counted with
-multiplicity, so a tied maximum keeps the maximum). Each record is checked
-where it is built, by its constructor; a BrieskornExponents has l = lcm(a),
-so its weights l/a_j are a valid vector of gcd 1 that brieskorn_to_wci does
-not check again.
+multiplicity, so a tied maximum keeps the maximum). It enters no index. It
+says whether the weights l/a_j are well-formed: their a_w (the lcm of their
+omit-one gcds, see weights) is l/l2, so they are well-formed exactly when
+l2 = l (acceptance criterion 4). A BrieskornExponents holds only its
+exponents, and works out l and l2 from them on each read. Each record is
+checked where it is built, by its constructor; the weights l/a_j of a
+BrieskornExponents are a valid vector of gcd 1 that brieskorn_to_wci does not
+check again.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 
-from .errors import DomainError, as_tuple, check_int, check_ints
+from .errors import DomainError, as_tuple, check_ints
 # Unused here; perfbench's trace points still name czorb.spaces.factorize and ord_p.
 from .exact_arith import factorize, ord_p  # noqa: F401
 from .record import Record
@@ -47,23 +51,27 @@ class WCISpace(Record):
 
 
 class BrieskornExponents(Record):
-    """Exponent vector of a Brieskorn form, with derived l = lcm(a_j) and l2.
-    The constructor makes a a tuple of at least 4 integers >= 2 and requires
-    l = lcm(a); l2 enters no index and is not checked."""
+    """Exponent vector of a Brieskorn form. The constructor makes a a tuple
+    of at least 4 integers >= 2, else DomainError. l = lcm(a) and l2 (see the
+    module docstring) are worked out from a on each read, not stored. l2
+    enters no index: the weights l/a_j have a_w = l/l2 (criterion 4)."""
 
-    __slots__ = ("a", "l", "l2")
+    __slots__ = ("a",)
 
     @staticmethod
-    def _check(a, l, l2):
-        a = _exponents(a)
-        if check_int("Brieskorn l", l) <= 0:
-            raise DomainError(f"Brieskorn l must be positive, got {l}")
-        if l != (lcm := math.lcm(*a)):
-            if l % lcm:
-                raise AssertionError(f"non-integer index: l={l} is not a multiple of every exponent of {a}")
-            raise AssertionError(f"converted Brieskorn weights {[l // x for x in a]} invalid: they share the factor "
-                                 f"{l // lcm}, so l={l} is not the lcm of {a}")
-        return a, l, l2
+    def _check(a):
+        a = as_tuple("Brieskorn exponents", a)
+        if len(a) < 4:
+            raise DomainError(f"a Brieskorn exponent vector needs at least 4 entries, got {len(a)}")
+        return (check_ints("Brieskorn exponents", a, 2),)
+
+    @property
+    def l(self) -> int:
+        return math.lcm(*self.a)
+
+    @property
+    def l2(self) -> int:
+        return compute_l2(self.a)
 
 
 Space = WCISpace | WeightVector | Iterable[int]  # a WCI, or a WPS by its weights
@@ -88,33 +96,16 @@ def compute_l2(a: Iterable[int]) -> int:
     a = check_ints("compute_l2 entries", a, 2)
     if not a:
         raise DomainError("compute_l2 requires a nonempty list")
-    return _lcm_l2(a)[1]
-
-
-def _lcm_l2(a: tuple[int, ...]) -> tuple[int, int]:
-    """(lcm(a), l2) of checked entries, in compute_l2's one scan."""
     l = l2 = 1
     for x in a:
         g = math.gcd(x, l % x)  # gcd(x, l), with l brought below x first
         l, l2 = l // g * x, math.lcm(l2, g)
-    return l, l2
-
-
-def _exponents(a) -> tuple[int, ...]:
-    """Brieskorn exponents as a tuple of at least 4 integers >= 2, else DomainError."""
-    a = as_tuple("Brieskorn exponents", a)
-    if len(a) < 4:
-        raise DomainError(f"a Brieskorn exponent vector needs at least 4 entries, got {len(a)}")
-    return check_ints("Brieskorn exponents", a, 2)
+    return l2
 
 
 def make_brieskorn_exponents(a: BrieskornExponents | Iterable[int]) -> BrieskornExponents:
-    """A BrieskornExponents as is, or the record of the exponents `a`, its
-    l = lcm(a) and l2 taken in one scan."""
-    if isinstance(a, BrieskornExponents):
-        return a
-    a = _exponents(a)
-    return BrieskornExponents._unchecked(a, *_lcm_l2(a))
+    """A BrieskornExponents as is, or the BrieskornExponents of the entries `a`."""
+    return a if isinstance(a, BrieskornExponents) else BrieskornExponents(a)
 
 
 def brieskorn_to_wci(b: BrieskornExponents | Iterable[int]) -> WCISpace:
@@ -124,7 +115,8 @@ def brieskorn_to_wci(b: BrieskornExponents | Iterable[int]) -> WCISpace:
     is 1, as for each prime p | l some exponent attains the maximal
     valuation, making its weight p-free."""
     b = make_brieskorn_exponents(b)
-    return WCISpace._unchecked(WeightVector._unchecked(tuple(map(b.l.__floordiv__, b.a))), (b.l,))
+    l = b.l
+    return WCISpace._unchecked(WeightVector._unchecked(tuple(map(l.__floordiv__, b.a))), (l,))
 
 
 def b_constant(space: Space | BrieskornExponents) -> int:

@@ -887,7 +887,8 @@ def test_import_adds_no_module_that_only_introspection_or_an_error_path_needs(mo
         "import argparse, json, fractions, cmath, collections.abc\n"
         "baseline = set(sys.modules)\n"
         f"import {module}\n"
-        "print([m for m in ('dataclasses', 'inspect', 'typing', 'traceback') if m in set(sys.modules) - baseline])"
+        "forbidden = ('dataclasses', 'inspect', 'typing', 'traceback', 'linecache', 'tokenize')\n"
+        "print([m for m in forbidden if m in set(sys.modules) - baseline])"
     )
     out = subprocess.run(
         [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=_child_env(), timeout=60

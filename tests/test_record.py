@@ -19,6 +19,7 @@ from czorb import (
     WeightVector,
     WindingResult,
 )
+from czorb.errors import DomainError
 from czorb.exact_arith import Factorization
 
 # One builder per class, and the repr that the frozen dataclass printed for
@@ -35,8 +36,8 @@ CASES = {
         "WCISpace(weights=WeightVector(w=(1, 1, 1, 1, 1)), degrees=(3,))",
     ),
     "BrieskornExponents": (
-        lambda: BrieskornExponents((2, 3, 5, 6), 30, 6),
-        "BrieskornExponents(a=(2, 3, 5, 6), l=30, l2=6)",
+        lambda: BrieskornExponents((2, 3, 5, 6)),
+        "BrieskornExponents(a=(2, 3, 5, 6))",
     ),
     "TheoremCheck": (
         lambda: TheoremCheck(b=27, simply_connected=True, simply_connected_reason="orbifolds"),
@@ -70,7 +71,7 @@ SIGNATURES = {
     "WeightVector": [("w", EMPTY)],
     "WeightInvariants": [(name, EMPTY) for name in ("sum", "product", "d", "e", "a_w", "reduced", "well_formed")],
     "WCISpace": [("weights", EMPTY), ("degrees", EMPTY)],
-    "BrieskornExponents": [("a", EMPTY), ("l", EMPTY), ("l2", EMPTY)],
+    "BrieskornExponents": [("a", EMPTY)],
     "TheoremCheck": [
         ("b", EMPTY),
         ("simply_connected", EMPTY),
@@ -96,7 +97,7 @@ SUBCLASSES = {name: _subclass(name) for name in NAMES}
 
 # A last field that differs from the one CASES builds; the classes with a
 # rule need one that passes it.
-OTHER_LAST = {"WeightVector": (1, 2), "WCISpace": (2,)}
+OTHER_LAST = {"WeightVector": (1, 2), "WCISpace": (2,), "BrieskornExponents": (2, 3, 5, 7)}
 
 
 def _fields(record) -> tuple:
@@ -205,3 +206,17 @@ def test_copy_deepcopy_and_pickle_give_an_equal_record(name):
         assert type(clone) is type(record)
         assert clone == record
         assert hash(clone) == hash(record)
+
+
+@pytest.mark.parametrize("cls", [WeightVector, WCISpace, BrieskornExponents])
+def test_a_refusal_frame_names_the_record_being_built(cls):
+    filename = f"<czorb record {cls.__qualname__}>"
+    assert cls.__init__.__code__.co_filename == cls._unchecked.__func__.__code__.co_filename == filename
+    with pytest.raises(DomainError) as refusal:
+        cls(*[()] * len(cls._fields))
+    frames = []
+    tb = refusal.value.__traceback__
+    while tb is not None:
+        frames.append(tb.tb_frame.f_code.co_filename)
+        tb = tb.tb_next
+    assert filename in frames and "<string>" not in frames

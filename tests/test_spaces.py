@@ -123,8 +123,10 @@ def test_make_brieskorn_exponents():
 
 @given(st.lists(_prime_powers.filter(lambda x: x >= 2), min_size=4, max_size=8))
 @settings(max_examples=300)
-def test_make_brieskorn_exponents_takes_l_and_l2_from_one_scan(a):
-    assert make_brieskorn_exponents(a) == BrieskornExponents(tuple(a), math.lcm(*a), compute_l2(a))
+def test_make_brieskorn_exponents_works_out_l_and_l2_from_the_exponents(a):
+    be = make_brieskorn_exponents(a)
+    assert be == BrieskornExponents(tuple(a))
+    assert (be.l, be.l2) == (math.lcm(*a), brute_force_l2(a))
 
 
 @pytest.mark.parametrize("bad", [2.5, True, "3"])
@@ -236,51 +238,45 @@ BUILDERS = {
 }
 
 
-# The fields of a bad record, not the record: building one refuses it.
+# The exponents of a bad record, not the record: building one refuses it.
 @pytest.mark.parametrize("builder", BUILDERS)
 @pytest.mark.parametrize(
-    "fields, message",
+    "a, message",
     [
-        (((-2, 3, 5, 7), 210, 1), "Brieskorn exponents must be >= 2, got -2"),
-        (((2, 3, 5), 30, 1), "a Brieskorn exponent vector needs at least 4 entries, got 3"),
-        (((1, 2, 3, 5), 30, 1), "Brieskorn exponents must be >= 2, got 1"),
-        (((2, 3, 5, 7), 210.0, 1), "Brieskorn l must be an integer, got 210.0"),
-        (((2, 3, 5, "7"), 210, 1), "Brieskorn exponents must be integers, got '7'"),
-        (((2, 3, 5, 7), "210", 1), "Brieskorn l must be an integer, got '210'"),
-        ((5, 5, 5), "Brieskorn exponents must be a list of integers, not int"),
-        (((2, 3, 5, 7), -210, 1), "Brieskorn l must be positive, got -210"),
-        (((2, 3, 5, 7), 0, 1), "Brieskorn l must be positive, got 0"),
+        ((-2, 3, 5, 7), "Brieskorn exponents must be >= 2, got -2"),
+        ((2, 3, 5), "a Brieskorn exponent vector needs at least 4 entries, got 3"),
+        ((1, 2, 3, 5), "Brieskorn exponents must be >= 2, got 1"),
+        ((2, 3, 5, "7"), "Brieskorn exponents must be integers, got '7'"),
+        (5, "Brieskorn exponents must be a list of integers, not int"),
     ],
-    ids=[
-        "negative", "three-exponents", "exponent-1", "float-l", "str-exponent", "str-l", "int-a", "negative-l", "zero-l"
-    ],
+    ids=["negative", "three-exponents", "exponent-1", "str-exponent", "int-a"],
 )
-def test_a_bad_brieskorn_record_is_refused_where_it_is_built(builder, fields, message):
+def test_a_bad_brieskorn_record_is_refused_where_it_is_built(builder, a, message):
     with pytest.raises(DomainError) as refusal:
-        BUILDERS[builder](BrieskornExponents, *fields)
+        BUILDERS[builder](BrieskornExponents, a)
     assert str(refusal.value) == message
-    if not message.startswith("Brieskorn l"):  # the exponents alone are bad
-        with pytest.raises(DomainError) as listed:
-            make_brieskorn_exponents(fields[0])
-        assert str(listed.value) == message
+    with pytest.raises(DomainError) as listed:
+        make_brieskorn_exponents(a)
+    assert str(listed.value) == message
 
 
-def test_a_brieskorn_record_is_refused_when_l_is_not_a_multiple_of_every_exponent():
-    message = r"non-integer index: l=100 is not a multiple of every exponent of \(2, 3, 5, 7\)"
-    with pytest.raises(AssertionError, match=message):
-        BrieskornExponents((2, 3, 5, 7), 100, 1)
-
-
-def test_a_brieskorn_record_is_refused_when_l_is_a_proper_multiple_of_the_lcm():
-    # l = 4 is twice lcm(2, 2, 2, 2), so every weight l/a_j would be 2.
-    message = r"converted Brieskorn weights \[2, 2, 2, 2\] invalid: they share the factor 2, so l=4 is not the lcm"
-    with pytest.raises(AssertionError, match=message):
-        BrieskornExponents((2, 2, 2, 2), 4, 4)
+def test_a_brieskorn_record_takes_no_l_or_l2():
+    # l and l2 are worked out from the exponents, so a stale l2 cannot be stored.
+    with pytest.raises(TypeError):
+        BrieskornExponents((2, 3, 5, 7), 210, 999)
+    a = [4, 6, 9, 10]
+    records = [BrieskornExponents(a), BrieskornExponents(iter(a)), BrieskornExponents(tuple(a))]
+    records.append(make_brieskorn_exponents(a))
+    for be in records:
+        assert be == records[0] and hash(be) == hash(records[0])
+        assert (be.a, be.l, be.l2) == ((4, 6, 9, 10), math.lcm(*a), brute_force_l2(a)) == ((4, 6, 9, 10), 180, 6)
+    with pytest.raises(AttributeError):
+        records[0].l2 = 1
 
 
 def test_make_brieskorn_exponents_returns_any_record_as_is():
-    assert make_brieskorn_exponents(make_brieskorn_exponents([2, 3, 5, 7])) == BrieskornExponents((2, 3, 5, 7), 210, 1)
-    hand_built = BrieskornExponents((2, 3, 5, 7), 210, 1)
+    assert make_brieskorn_exponents(make_brieskorn_exponents([2, 3, 5, 7])) == BrieskornExponents((2, 3, 5, 7))
+    hand_built = BrieskornExponents((2, 3, 5, 7))
     assert make_brieskorn_exponents(hand_built) is hand_built
     with pytest.raises(DomainError, match="Brieskorn exponents must be a list of integers, not NoneType"):
         make_brieskorn_exponents(None)
@@ -291,12 +287,12 @@ def test_make_brieskorn_exponents_returns_any_record_as_is():
 def test_a_hand_built_record_answers_from_its_checked_exponents(route, container):
     # An iterator a is used up by the check, so the record must hold the checked tuple.
     expected = BRIESKORN_ROUTES[route](make_brieskorn_exponents([2, 3, 5, 7]))
-    assert BRIESKORN_ROUTES[route](BrieskornExponents(container([2, 3, 5, 7]), 210, 1)) == expected
+    assert BRIESKORN_ROUTES[route](BrieskornExponents(container([2, 3, 5, 7]))) == expected
 
 
 def test_a_hand_built_record_answers_the_values_of_its_exponents():
-    assert mu_principal_brieskorn(BrieskornExponents(iter([2, 3, 5, 7]), 210, 1)).index == 74
-    assert b_constant(BrieskornExponents(iter([2, 3, 5, 7]), 210, 1)) == 37
+    assert mu_principal_brieskorn(BrieskornExponents(iter([2, 3, 5, 7]))).index == 74
+    assert b_constant(BrieskornExponents(iter([2, 3, 5, 7]))) == 37
 
 
 def brieskorn_outcome(route, be):
@@ -319,7 +315,7 @@ library_exponents = st.lists(
 @settings(max_examples=100, deadline=None)
 def test_a_hand_built_record_answers_as_its_list_on_every_route(a):
     be = make_brieskorn_exponents(a)
-    hand_built = BrieskornExponents(list(a), math.lcm(*a), compute_l2(a))
+    hand_built = BrieskornExponents(list(a))
     assert hand_built == be
     for route in BRIESKORN_ROUTES:
         outcome = brieskorn_outcome(route, be)
@@ -330,7 +326,7 @@ def test_a_hand_built_record_answers_as_its_list_on_every_route(a):
 
 def test_a_record_keeps_its_own_tuple_after_the_callers_list_changes():
     exponents, weights, degrees = [2, 3, 5, 7], [1, 1, 1, 1, 1], [3]
-    be = BrieskornExponents(exponents, 210, 1)
+    be = BrieskornExponents(exponents)
     wv = WeightVector(weights)
     wci = WCISpace(weights, degrees)
     before = [brieskorn_outcome(route, be) for route in BRIESKORN_ROUTES]

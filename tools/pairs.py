@@ -35,6 +35,10 @@ environment that perfbench/worker.py's child_env builds for that side's
 `src/`. It counts the CPU an import takes, not how the host schedules it;
 it is printed and written to `--out` as "import_cpu_ms".
 
+Each side's entry in the report names the code it timed by `src_sha256`
+(see src_digest), which a `git archive` copy has too, where `git_sha` reads
+null; `tools/scaling.py` writes the same digest into its `meta`.
+
 The exit code is 1 if any run exits nonzero or counts a failed operation,
 else 0; neither reading sets it. Uses only the standard library; imports no
 czorb code and writes nothing under either checkout's perfbench/ (run.py
@@ -44,6 +48,7 @@ keeps its own work files in `.bench_build/`).
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -58,6 +63,18 @@ ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
 DIGEST = re.compile(r"reference digest ([0-9a-f]+)")
 IMPORT_RUNS = 21
+
+
+def src_digest(checkout: Path) -> str:
+    """The sha256 of a checkout's `src/czorb/**/*.py`: each file's path
+    relative to the checkout, its length and its bytes, over the paths in
+    sorted order."""
+    digest = hashlib.sha256()
+    for path in sorted((checkout / "src" / "czorb").rglob("*.py")):
+        data = path.read_bytes()
+        digest.update(f"{path.relative_to(checkout).as_posix()}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
 
 
 def benchmark(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -157,7 +174,7 @@ def main(argv=None) -> int:
 
     def meta(side: str) -> dict:
         first = runs[workloads[0]][side][0]["meta"]
-        return {key: first.get(key) for key in ("git_sha", "src_loc")}
+        return {key: first.get(key) for key in ("git_sha", "src_loc")} | {"src_sha256": src_digest(checkouts[side])}
 
     report = {
         "command": f"python3 perfbench/run.py --workload W --seed {args.seed} --seconds {args.seconds:g} --trace 0"

@@ -21,7 +21,8 @@ call count per repeat chosen so that a repeat takes at least 20 ms. The
 rows are timed round-robin: each of 5 rounds times every row once, and a
 row's figure is its best round, so a slow phase of the host falls on all
 rows alike. The report holds perfbench/run.py's metadata
-(git sha, Python version, CPU count, `src_loc`), the rows and, with
+(git sha, Python version, CPU count, `src_loc`), `src_sha256` (the
+src_digest of tools/pairs.py, naming the sources timed), the rows and, with
 `--pairs`, the JSON report of `tools/pairs.py --out`, copied under "pairs".
 It imports czorb from `src/` of the checkout that holds it and uses
 only the standard library.
@@ -45,6 +46,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import czorb  # noqa: E402
 import run  # noqa: E402
+from pairs import src_digest  # noqa: E402
 
 SIZES = (10, 30, 100, 300, 1000, 3000)
 SEED = 1
@@ -118,9 +120,11 @@ def l2_by_valuations(a: list[int]) -> int:
 
 def check_records(w: list[int], a: list[int]) -> None:
     """make_weight_vector(w) against tuple(w), and make_brieskorn_exponents(a)
-    against tuple(a), math.lcm and the valuation definition of l2."""
+    against BrieskornExponents(a), and its exponents and the properties l and
+    l2 against tuple(a), math.lcm and the valuation definition of l2."""
     assert czorb.make_weight_vector(w).w == tuple(w), "make_weight_vector"
     be = czorb.make_brieskorn_exponents(a)
+    assert be == czorb.BrieskornExponents(a), "BrieskornExponents"
     assert (be.a, be.l, be.l2) == (tuple(a), math.lcm(*a), l2_by_valuations(a)), "make_brieskorn_exponents"
 
 
@@ -237,6 +241,7 @@ def main(argv=None) -> None:
         print(f"scaling: every value checked at n = {', '.join(map(str, SIZES))}", file=sys.stderr)
         return
     meta = run.metadata() | {
+        "src_sha256": src_digest(ROOT),
         "seed": SEED,
         "sizes": list(SIZES),
         "timer": f"best of {REPEATS} round-robin rounds, each a repeat of at least {MIN_REPEAT_S} s per row,"
