@@ -274,6 +274,66 @@ def test_a_brieskorn_record_takes_no_l_or_l2():
         records[0].l2 = 1
 
 
+# Each call form that passed an l or an l2 before a record worked them out.
+@pytest.mark.parametrize(
+    "args, kwargs",
+    [
+        (((2, 3, 5, 7), 210), {}),
+        (((2, 3, 5, 7), 210, 1), {}),
+        (((2, 3, 5, 7),), {"l": 210}),
+        (((2, 3, 5, 7),), {"l2": 1}),
+        ((), {"a": (2, 3, 5, 7), "l": 210, "l2": 1}),
+    ],
+    ids=["positional-l", "positional-l-l2", "keyword-l", "keyword-l2", "keyword-a-l-l2"],
+)
+def test_a_brieskorn_record_refuses_an_l_or_l2_in_every_call_form(args, kwargs):
+    with pytest.raises(TypeError):
+        BrieskornExponents(*args, **kwargs)
+
+
+# Whichever way a good record comes into being, it holds its checked
+# exponents alone and works out l and l2 from them.
+@pytest.mark.parametrize("builder", BUILDERS)
+@pytest.mark.parametrize(
+    "a, l, l2",
+    [((2, 3, 5, 7), 210, 1), ((4, 6, 9, 10), 180, 6), ((12, 12, 12, 12), 12, 12)],
+    ids=["pairwise-coprime", "l2-below-l", "constant"],
+)
+def test_a_brieskorn_record_from_every_builder_works_out_l_and_l2(builder, a, l, l2):
+    be = BUILDERS[builder](BrieskornExponents, list(a))
+    made = make_brieskorn_exponents(list(a))
+    assert type(be) is BrieskornExponents and be.a == a and type(be.a) is tuple
+    assert be == made and hash(be) == hash(made)
+    assert (be.l, be.l2) == (l, l2) == (math.lcm(*a), brute_force_l2(a))
+    for name in ("l", "l2"):
+        with pytest.raises(AttributeError):
+            setattr(be, name, 1)
+
+
+# Criterion 4 reads l2 only through a_w: the weights l/a_j have a_w = l/l2,
+# and they are well-formed exactly when l2 = l.
+@pytest.mark.parametrize(
+    "a, l, l2, weights",
+    [
+        ((2, 3, 5, 7), 210, 1, (105, 70, 42, 30)),
+        ((2, 3, 5, 49), 1470, 1, (735, 490, 294, 30)),
+        ((4, 6, 9, 10), 180, 6, (45, 30, 20, 18)),
+        ((2, 4, 8, 16), 16, 8, (8, 4, 2, 1)),
+        ((2, 2, 2, 2), 2, 2, (1, 1, 1, 1)),
+        ((12, 12, 5, 5), 60, 60, (5, 5, 12, 12)),
+        ((6, 10, 15, 30), 30, 30, (5, 3, 2, 1)),
+    ],
+)
+def test_a_w_of_the_brieskorn_weights_is_l_over_l2(a, l, l2, weights):
+    be = BrieskornExponents(a)
+    assert (be.l, be.l2) == (l, l2)
+    wv = brieskorn_to_wci(be).weights
+    assert wv.w == weights
+    inv = invariants(wv)
+    assert inv.a_w == l // l2
+    assert inv.well_formed == (l2 == l)
+
+
 def test_make_brieskorn_exponents_returns_any_record_as_is():
     assert make_brieskorn_exponents(make_brieskorn_exponents([2, 3, 5, 7])) == BrieskornExponents((2, 3, 5, 7))
     hand_built = BrieskornExponents((2, 3, 5, 7))
